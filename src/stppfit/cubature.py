@@ -26,6 +26,7 @@ from .patterns import (
     PointPattern,
     SpaceTimePoint,
     Window,
+    _readonly,
     find_duplicate_points,
     ground_pattern,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "CubatureScheme",
     "ReplicatedCubatureScheme",
     "cube_index",
+    "cell_axes",
     "cell_centers",
     "generate_dummy_grid",
     "build_scheme",
@@ -108,25 +110,25 @@ def cube_index(window: Window, res: GridResolution, p: SpaceTimePoint) -> int:
     return int(cell_indices(window, res, [p.x], [p.y], [p.t])[0])
 
 
-def cell_centers(window: Window, res: GridResolution) -> np.ndarray:
-    """Centers of all partition cells as an (n_cells, 3) array in cell-id order."""
+def cell_axes(window: Window, res: GridResolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell-center coordinates along x, y and t; the centers are their tensor product."""
     axes = []
     for (lo, hi), n in zip(window.ranges, res.per_axis):
         step = (hi - lo) / n
         axes.append(lo + (np.arange(n) + 0.5) * step)
-    tt, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+    return tuple(axes)
+
+
+def cell_centers(window: Window, res: GridResolution) -> np.ndarray:
+    """Centers of all partition cells as an (n_cells, 3) array in cell-id order."""
+    ax, ay, at = cell_axes(window, res)
+    tt, yy, xx = np.meshgrid(at, ay, ax, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel(), tt.ravel()])
 
 
 def generate_dummy_grid(window: Window, res: GridResolution) -> list[SpaceTimePoint]:
     """Dummy points at the cell centers of the partition, in cell-id order."""
     return [SpaceTimePoint(*row) for row in cell_centers(window, res)]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,8 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
+from .patterns import _readonly
+
 __all__ = [
     "DesignMatrix",
     "IrlsConfig",
@@ -56,7 +58,7 @@ class DesignMatrix:
     column_names: tuple[str, ...]
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        vals = _readonly(np.asarray(self.values, dtype=float))
         if vals.ndim != 2:
             raise ValueError(f"design matrix must be 2-D, got shape {vals.shape}")
         names = tuple(str(c) for c in self.column_names)
@@ -69,7 +71,6 @@ class DesignMatrix:
         if not np.all(np.isfinite(vals)):
             r, c = np.argwhere(~np.isfinite(vals))[0]
             raise ValueError(f"non-finite design entry at row {r}, column {names[c]!r}")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "column_names", names)
 
@@ -149,12 +150,6 @@ class FitResult:
 
     def std_errors(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 def _validated(X: DesignMatrix, y, w) -> tuple[np.ndarray, np.ndarray]:
@@ -280,11 +275,15 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None) -> FitResult:
         raise FitError(f"initial deviance is not finite ({pdev!r})")
     trace = [_deviance(y, w, lam)]
 
+    def gradient(lam_vec, th):
+        return X.values.T @ (w * (y - lam_vec)) - pen * th
+
     converged = False
     iterations = 0
     grad_tol = GRADIENT_RTOL * sw
+    # the score at the current theta; each accepted step refreshes it once
+    grad = gradient(lam, theta)
     for iterations in range(1, cfg.max_iterations + 1):
-        grad = X.values.T @ (w * (y - lam)) - pen * theta
         fisher = (X.values * (w * lam)[:, None]).T @ X.values + np.diag(pen)
         try:
             delta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), grad)
@@ -318,13 +317,12 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None) -> FitResult:
             raise FitError(
                 f"deviance diverged at iteration {iterations}; deviance trace: {trace}"
             )
-        new_grad = X.values.T @ (w * (y - lam)) - pen * theta
-        if rel_change <= cfg.tolerance and float(np.abs(new_grad).max()) <= grad_tol:
+        grad = gradient(lam, theta)
+        if rel_change <= cfg.tolerance and float(np.abs(grad).max()) <= grad_tol:
             converged = True
             break
 
     if not converged:
-        grad = X.values.T @ (w * (y - lam)) - pen * theta
         converged = float(np.abs(grad).max()) <= grad_tol
 
     fisher = (X.values * (w * lam)[:, None]).T @ X.values + np.diag(pen)

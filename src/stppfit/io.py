@@ -9,7 +9,6 @@ repository root documents every column.
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +168,7 @@ def save_grid(grid: CovariateGrid, header_path) -> None:
         "sidecar": bin_path.name,
     }
     write_json(header_path, header)
-    bin_path.write_bytes(struct.pack(f"<{grid.values.size}d", *grid.values))
+    bin_path.write_bytes(grid.values.astype("<f8").tobytes())
 
 
 def load_grid(header_path) -> CovariateGrid:
@@ -178,8 +177,14 @@ def load_grid(header_path) -> CovariateGrid:
     if header.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{header_path}: unsupported schema version {header.get('schema_version')!r}")
     count = header["count"]
-    raw = (header_path.parent / header["sidecar"]).read_bytes()
-    values = np.array(struct.unpack(f"<{count}d", raw), dtype=float)
+    bin_path = header_path.parent / header["sidecar"]
+    raw = bin_path.read_bytes()
+    if len(raw) != 8 * count:
+        raise ValueError(
+            f"{bin_path}: grid sidecar should hold {8 * count} bytes "
+            f"({count} float64 values), found {len(raw)}"
+        )
+    values = np.frombuffer(raw, dtype="<f8")
     return CovariateGrid(
         window_from_dict(header["window"]),
         GridResolution(*header["resolution"]),

@@ -27,6 +27,13 @@ __all__ = [
 _AXES = ("x", "y", "t")
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """C-contiguous, non-writeable version of ``a`` (shared by every frozen array holder)."""
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
 def _as_interval(name: str, rng) -> tuple[float, float]:
     try:
         lo, hi = (float(rng[0]), float(rng[1]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stppfit import (
     CoordinateMonomial,
@@ -16,6 +18,7 @@ from stppfit import (
     nearest_grid_value,
     smooth_to_grid,
 )
+from stppfit import covariates
 from stppfit.cubature import cell_centers, cube_index
 
 UNIT = Window.unit_cube()
@@ -31,6 +34,24 @@ def random_samples(rng, window, n):
         loc = SpaceTimePoint(*(lo + rng.random() * (hi - lo) for lo, hi in window.ranges))
         out.append(CovariateSample(loc, float(rng.normal())))
     return out
+
+
+def oracle_idw(queries, xyz, vals, cfg):
+    """Direct IDW: every (query, sample) scaled squared distance in one array."""
+    scale = np.asarray(cfg.scaling)
+    d2 = (((queries / scale)[:, None, :] - (xyz / scale)[None, :, :]) ** 2).sum(axis=2)
+    near = d2 < 1e-24
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = d2 ** (-cfg.power / 2.0)
+        out = ((w / w.sum(axis=1, keepdims=True)) * vals).sum(axis=1)
+    for r in np.flatnonzero(near.any(axis=1)):
+        out[r] = np.mean(vals[near[r]])
+    return out
+
+
+def sample_arrays(samples):
+    xyz = np.array([s.location.as_tuple() for s in samples])
+    return xyz, np.array([s.value for s in samples])
 
 
 class TestIdwInterpolate:
@@ -143,6 +164,64 @@ class TestSmoothToGrid:
         for cell, center in enumerate(cell_centers(UNIT, res)):
             want = idw_interpolate(samples, SpaceTimePoint(*center), cfg)
             assert grid.values[cell] == want
+
+
+@st.composite
+def idw_problems(draw):
+    """An offset window in calendar-like units, its fine grid, an IDW config and samples.
+
+    Some samples sit exactly on cell centers (two of them may share a
+    center), so the coincident-sample rule runs.
+    """
+    unit = st.floats(0.0, 1.0)
+    lo = [draw(st.floats(-1000.0, 3000.0)) for _ in range(3)]
+    length = [draw(st.floats(0.01, 1000.0)) for _ in range(3)]
+    window = Window.from_bounds(*(v for a, n in zip(lo, length) for v in (a, a + n)))
+    res = GridResolution(*(draw(st.integers(1, 6)) for _ in range(3)))
+    scaling = tuple(n * draw(st.floats(0.01, 100.0)) for n in length)
+    cfg = IdwConfig(power=draw(st.sampled_from([2.0, 1.7, 3.0])), scaling=scaling)
+    centers = cell_centers(window, res)
+    on_center = draw(st.lists(st.integers(0, res.n_cells - 1), max_size=4))
+    scattered = draw(st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=25))
+    sites = [tuple(centers[c]) for c in on_center]
+    sites += [tuple(a + f * n for a, f, n in zip(lo, fr, length)) for fr in scattered]
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(sites), max_size=len(sites)))
+    return window, res, cfg, [sample(*p, v) for p, v in zip(sites, values)]
+
+
+class TestIdwKernelMatchesDirectFormula:
+    @settings(max_examples=80, deadline=None)
+    @given(idw_problems())
+    def test_smooth_to_grid_is_bit_identical(self, problem):
+        window, res, cfg, samples = problem
+        grid = smooth_to_grid(samples, window, res, cfg)
+        want = oracle_idw(cell_centers(window, res), *sample_arrays(samples), cfg)
+        np.testing.assert_array_equal(grid.values, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(idw_problems(), st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)))
+    def test_idw_interpolate_is_bit_identical(self, problem, frac):
+        window, _, cfg, samples = problem
+        q = np.array([[lo + f * (hi - lo) for (lo, hi), f in zip(window.ranges, frac)]])
+        got = idw_interpolate(samples, SpaceTimePoint(*q[0]), cfg)
+        assert got == oracle_idw(q, *sample_arrays(samples), cfg)[0]
+
+    def test_many_blocks_per_slab(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        window = Window.from_bounds(0, 1000, 0, 1000, 2000, 2020)
+        res = GridResolution(20, 15, 2)
+        samples = random_samples(rng, window, 700)
+        centers = cell_centers(window, res)
+        for k, cell in enumerate((0, 17, 299, 431)):
+            samples[k] = CovariateSample(SpaceTimePoint(*centers[cell]), float(k))
+        n_samples = len(samples)
+        assert covariates._BLOCK_PAIRS // n_samples * 3 < res.nx * res.ny
+        cfg = IdwConfig(power=2.0, scaling=(500.0, 2000.0, 5.0))
+        want = oracle_idw(centers, *sample_arrays(samples), cfg)
+        np.testing.assert_array_equal(smooth_to_grid(samples, window, res, cfg).values, want)
+        for block_pairs in (1, 5 * n_samples - 1, res.nx * res.ny * n_samples):
+            monkeypatch.setattr(covariates, "_BLOCK_PAIRS", block_pairs)
+            np.testing.assert_array_equal(smooth_to_grid(samples, window, res, cfg).values, want)
 
 
 class TestNearestGridValue:

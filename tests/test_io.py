@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,30 @@ class TestGridStorage:
         assert again.values.tobytes() == grid.values.tobytes()
         assert again.window == grid.window
         assert again.resolution == grid.resolution
+
+    def test_sidecar_is_packed_little_endian_float64(self, tmp_path):
+        grid = self.make_grid()
+        save_grid(grid, tmp_path / "grid.json")
+        raw = (tmp_path / "grid.bin").read_bytes()
+        assert raw == struct.pack(f"<{grid.values.size}d", *grid.values)
+
+    def check_resized_sidecar_rejected(self, tmp_path, new_size):
+        save_grid(self.make_grid(), tmp_path / "grid.json")
+        bin_path = tmp_path / "grid.bin"
+        raw = bin_path.read_bytes()
+        assert len(raw) == 192
+        bin_path.write_bytes((raw + b"\0" * 64)[:new_size])
+        with pytest.raises(ValueError) as exc:
+            load_grid(tmp_path / "grid.json")
+        msg = str(exc.value)
+        assert str(bin_path) in msg
+        assert "192 bytes" in msg and f"found {new_size}" in msg
+
+    def test_truncated_sidecar_rejected(self, tmp_path):
+        self.check_resized_sidecar_rejected(tmp_path, 189)
+
+    def test_overlong_sidecar_rejected(self, tmp_path):
+        self.check_resized_sidecar_rejected(tmp_path, 200)
 
     def test_csv_dump_has_header_and_rows(self, tmp_path):
         grid = self.make_grid()
