@@ -46,11 +46,15 @@ class UsageError(ValueError):
     """Bad flags, bad expressions, or inconsistent options."""
 
 
-def _parse_floats(value, n, what) -> tuple[float, ...]:
+def _split(value) -> list:
+    """A comma-separated flag value, or a number or list from a JSON config, as a list of parts."""
     if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",")]
-    else:
-        parts = list(value)
+        return [p.strip() for p in value.split(",")]
+    return [value] if isinstance(value, (int, float)) else list(value)
+
+
+def _parse_floats(value, n, what) -> tuple[float, ...]:
+    parts = _split(value)
     if len(parts) != n:
         raise UsageError(f"{what} needs {n} comma-separated values, got {value!r}")
     try:
@@ -68,12 +72,7 @@ def _parse_window(value) -> Window:
 
 
 def _parse_resolution(value, what="--grid") -> GridResolution:
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",")]
-    elif isinstance(value, (int, float)):
-        parts = [value]
-    else:
-        parts = list(value)
+    parts = _split(value)
     if len(parts) == 1:
         parts = parts * 3
     if len(parts) != 3:
@@ -85,10 +84,7 @@ def _parse_resolution(value, what="--grid") -> GridResolution:
 
 
 def _parse_int_list(value, what) -> list[int]:
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-    else:
-        parts = list(value)
+    parts = [p for p in _split(value) if p != ""]
     if not parts:
         raise UsageError(f"{what} must not be empty")
     try:
@@ -166,20 +162,21 @@ def cmd_simulate(ns, cfg) -> int:
 # fit
 
 
-def _resolve_window(ns, cfg, pattern_path, marked) -> Window:
+def _read_pattern(ns, cfg, marked):
+    """Read the --pattern CSV once, in --window or in the inferred bounding box."""
+    path = _opt(ns, cfg, "pattern", required=True)
     window_arg = _opt(ns, cfg, "window")
-    infer = bool(_opt(ns, cfg, "infer_window", default=False))
     if window_arg is not None:
-        return _parse_window(window_arg)
-    if not infer:
+        return read_pattern_csv(path, window=_parse_window(window_arg), marked=marked)
+    if not _opt(ns, cfg, "infer_window", default=False):
         raise UsageError("pass --window x0,x1,y0,y1,t0,t1 or opt into --infer-window")
-    probe = read_pattern_csv(pattern_path, infer_window=True, marked=marked)
-    window = probe.window
+    pattern = read_pattern_csv(path, infer_window=True, marked=marked)
+    window = pattern.window
     print(
         f"inferred window from data: x={window.x_range} y={window.y_range} t={window.t_range}",
         file=sys.stderr,
     )
-    return window
+    return pattern
 
 
 def _build_externals(ns, cfg, window) -> dict[str, ExternalCovariate]:
@@ -221,11 +218,9 @@ def _print_fit_summary(model: FittedModel, verbose: bool) -> None:
 
 
 def cmd_fit(ns, cfg) -> int:
-    pattern_path = _opt(ns, cfg, "pattern", required=True)
     marked = bool(_opt(ns, cfg, "marked", default=False))
-    window = _resolve_window(ns, cfg, pattern_path, marked)
-    pattern = read_pattern_csv(pattern_path, window=window, marked=marked)
-    externals = _build_externals(ns, cfg, window)
+    pattern = _read_pattern(ns, cfg, marked)
+    externals = _build_externals(ns, cfg, pattern.window)
     try:
         terms = parse_term_list(str(_opt(ns, cfg, "terms", default="1")), externals)
     except ValueError as exc:
@@ -271,28 +266,22 @@ def cmd_predict_grid(ns, cfg) -> int:
 
     centers = cell_centers(model.window, res)
     x, y, t = centers[:, 0], centers[:, 1], centers[:, 2]
-    lines = []
+    header = "x,y,t,intensity"
     if marginal:
         if not model.is_marked:
             raise UsageError("--marginal applies to multitype models only")
-        lines.append("x,y,t,intensity")
-        vals = model.marginal_values(x, y, t)
-        for c, v in zip(centers, vals):
-            lines.append(f"{fmt(c[0])},{fmt(c[1])},{fmt(c[2])},{fmt(v)}")
+        blocks = [(model.marginal_values(x, y, t), "")]
     elif model.is_marked:
         levels = [model.level(mark)] if mark is not None else list(model.levels)
-        lines.append("x,y,t,intensity,mark")
-        for lv in levels:
-            vals = model.intensity_values(x, y, t, mark=lv)
-            for c, v in zip(centers, vals):
-                lines.append(f"{fmt(c[0])},{fmt(c[1])},{fmt(c[2])},{fmt(v)},{lv.label}")
+        header += ",mark"
+        blocks = [(model.intensity_values(x, y, t, mark=lv), f",{lv.label}") for lv in levels]
     else:
         if mark is not None:
             raise UsageError("--mark applies to multitype models only")
-        lines.append("x,y,t,intensity")
-        vals = model.intensity_values(x, y, t)
-        for c, v in zip(centers, vals):
-            lines.append(f"{fmt(c[0])},{fmt(c[1])},{fmt(c[2])},{fmt(v)}")
+        blocks = [(model.intensity_values(x, y, t), "")]
+    lines = [header]
+    for vals, label in blocks:
+        lines += [f"{fmt(c[0])},{fmt(c[1])},{fmt(c[2])},{fmt(v)}{label}" for c, v in zip(centers, vals)]
     Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines) - 1} intensity rows -> {out}")
     return 0
@@ -507,10 +496,7 @@ def main(argv=None) -> int:
         if getattr(ns, "interact_all", None) and getattr(ns, "shared_terms", None):
             raise UsageError("--interact-all and --shared-terms conflict")
         return ns.func(ns, cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, FitError) as exc:
+    except (ValueError, KeyError, FitError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

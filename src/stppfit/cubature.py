@@ -174,17 +174,6 @@ class CubatureScheme:
         return tuple(SpaceTimePoint(*row) for row in self.coords)
 
 
-def _scheme_arrays(window: Window, res: GridResolution, data_coords: np.ndarray):
-    """Shared construction: merged coordinates, cell counts, weights."""
-    dummies = cell_centers(window, res)
-    coords = np.vstack([data_coords, dummies]) if len(data_coords) else dummies
-    ids = cell_indices(window, res, coords[:, 0], coords[:, 1], coords[:, 2])
-    counts = np.bincount(ids, minlength=res.n_cells)
-    nu = res.cell_volume(window)
-    weights = nu / counts[ids]
-    return coords, weights
-
-
 def build_scheme(pattern: PointPattern, res: GridResolution = DEFAULT_RESOLUTION) -> CubatureScheme:
     """Cubature scheme for a pattern: its points plus one dummy per cell.
 
@@ -209,10 +198,14 @@ def build_scheme(pattern: PointPattern, res: GridResolution = DEFAULT_RESOLUTION
             CubatureWarning,
             stacklevel=2,
         )
-    coords, weights = _scheme_arrays(pattern.window, res, pattern.coords())
+    window = pattern.window
+    dummies = cell_centers(window, res)
+    coords = np.vstack([pattern.coords(), dummies]) if n else dummies
+    ids = cell_indices(window, res, coords[:, 0], coords[:, 1], coords[:, 2])
+    weights = res.cell_volume(window) / np.bincount(ids, minlength=m)[ids]
     is_data = np.zeros(n + m, dtype=np.uint8)
     is_data[:n] = 1
-    return CubatureScheme(pattern.window, res, coords, is_data, weights, n, m)
+    return CubatureScheme(window, res, coords, is_data, weights, n, m)
 
 
 def responses(scheme: CubatureScheme) -> np.ndarray:
@@ -289,15 +282,11 @@ def build_replicated_scheme(
     over that shared set, which keeps each level's weight sum equal to
     the window volume.
     """
-    if not pattern.levels:
-        raise ValueError("marked pattern has no levels")
     base = build_scheme(ground_pattern(pattern), res)
     m = len(pattern.levels)
     k = base.size
     e = np.zeros((m, k), dtype=np.uint8)
-    level_pos = {lv: i for i, lv in enumerate(pattern.levels)}
-    for j, (_, mark) in enumerate(pattern.points):
-        e[level_pos[mark], j] = 1
+    e[pattern.marks, np.arange(pattern.n)] = 1
     w = np.tile(base.weights, (m, 1))
     return ReplicatedCubatureScheme(
         pattern.window,

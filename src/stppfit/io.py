@@ -23,7 +23,7 @@ from .covariates import (
 from .cubature import CubatureScheme, GridResolution, ReplicatedCubatureScheme
 from .glm import FitResult
 from .model import FittedModel, MarkFixedEffects, ModelSpec
-from .patterns import MarkedPointPattern, MarkLevel, PointPattern, SpaceTimePoint, Window
+from .patterns import MarkedPointPattern, MarkLevel, PointPattern, SpaceTimePoint, Window, _mark_codes
 
 __all__ = [
     "fmt",
@@ -79,33 +79,42 @@ def window_from_dict(d: dict) -> Window:
 
 def write_pattern_csv(pattern, path) -> None:
     """Write `x,y,t` rows, with a `mark` column for marked patterns."""
-    lines = []
+    rows = [f"{fmt(x)},{fmt(y)},{fmt(t)}" for x, y, t in pattern.xyt.tolist()]
+    header = "x,y,t"
     if isinstance(pattern, MarkedPointPattern):
-        lines.append("x,y,t,mark")
-        for p, m in pattern.points:
-            lines.append(f"{fmt(p.x)},{fmt(p.y)},{fmt(p.t)},{m.label}")
-    else:
-        lines.append("x,y,t")
-        for p in pattern.points:
-            lines.append(f"{fmt(p.x)},{fmt(p.y)},{fmt(p.t)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header += ",mark"
+        labels = [lv.label for lv in pattern.levels]
+        rows = [f"{row},{labels[c]}" for row, c in zip(rows, pattern.marks.tolist())]
+    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
-def _read_csv_rows(path, expected_header):
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+def _read_csv(path, expected_header, n_numeric):
+    """Data rows of a CSV with a fixed header: the first ``n_numeric`` columns as a finite
+    float array, and the remaining cells as one flat list. Errors name ``path:line``."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    used = [i for i, ln in enumerate(lines) if ln.strip()]
+    if not used:
         raise ValueError(f"{path}: empty file, expected header {expected_header!r}")
-    header = [c.strip() for c in lines[0].split(",")]
-    if header != expected_header:
-        raise ValueError(f"{path}: expected header {','.join(expected_header)!r}, got {lines[0]!r}")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in ln.split(",")]
+    if [c.strip() for c in lines[used[0]].split(",")] != expected_header:
+        raise ValueError(f"{path}: expected header {','.join(expected_header)!r}, got {lines[used[0]]!r}")
+    values, texts = [], []
+    for i in used[1:]:
+        cells = [c.strip() for c in lines[i].split(",")]
         if len(cells) != len(expected_header):
-            raise ValueError(f"{path}:{i}: expected {len(expected_header)} columns, got {len(cells)}")
-        rows.append(cells)
-    return rows
+            raise ValueError(f"{path}:{i + 1}: expected {len(expected_header)} columns, got {len(cells)}")
+        if "" in cells[n_numeric:]:  # the only text column is a pattern's mark
+            raise ValueError(f"{path}:{i + 1}: mark label must be a nonempty string, got ''")
+        try:
+            values.extend([float(c) for c in cells[:n_numeric]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i + 1}: {exc}") from None
+        texts.extend(cells[n_numeric:])
+    table = np.array(values, dtype=float).reshape(-1, n_numeric)
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(f"{path}:{used[r + 1] + 1}: column {expected_header[c]} must be finite, got {table[r, c]}")
+    return table, texts
 
 
 def read_pattern_csv(path, window: Window | None = None, infer_window: bool = False, marked: bool = False):
@@ -114,16 +123,14 @@ def read_pattern_csv(path, window: Window | None = None, infer_window: bool = Fa
     With ``infer_window=True`` the bounding box of the points is used (the
     caller is expected to report it).
     """
-    header = ["x", "y", "t", "mark"] if marked else ["x", "y", "t"]
-    rows = _read_csv_rows(path, header)
-    pts = [SpaceTimePoint(float(r[0]), float(r[1]), float(r[2])) for r in rows]
+    xyt, labels = _read_csv(path, ["x", "y", "t", "mark"] if marked else ["x", "y", "t"], 3)
     if window is None:
         if not infer_window:
             raise ValueError("no window given: pass one explicitly or opt into inference")
-        window = Window.bounding(pts)
-    if marked:
-        return MarkedPointPattern.from_labeled(window, [(p, r[3]) for p, r in zip(pts, rows)])
-    return PointPattern(window, tuple(pts))
+        window = Window.bounding(xyt)
+    if not marked:
+        return PointPattern(window, xyt)
+    return MarkedPointPattern(window, xyt, *_mark_codes(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +138,8 @@ def read_pattern_csv(path, window: Window | None = None, infer_window: bool = Fa
 
 
 def read_covariate_samples(path) -> list[CovariateSample]:
-    rows = _read_csv_rows(path, ["x", "y", "t", "value"])
-    return [
-        CovariateSample(SpaceTimePoint(float(r[0]), float(r[1]), float(r[2])), float(r[3]))
-        for r in rows
-    ]
+    table, _ = _read_csv(path, ["x", "y", "t", "value"], 4)
+    return [CovariateSample(SpaceTimePoint(x, y, t), v) for x, y, t, v in table.tolist()]
 
 
 def write_covariate_samples(samples, path) -> None:
@@ -198,24 +202,18 @@ def load_grid(header_path) -> CovariateGrid:
 
 def write_scheme_csv(scheme, path) -> None:
     """Dump a scheme (`x,y,t,is_data,weight`, plus `mark` when replicated)."""
-    lines = []
     if isinstance(scheme, ReplicatedCubatureScheme):
-        lines.append("x,y,t,is_data,weight,mark")
-        for i, lv in enumerate(scheme.levels):
-            for k in range(scheme.size):
-                x, y, t = scheme.coords[k]
-                lines.append(
-                    f"{fmt(x)},{fmt(y)},{fmt(t)},{int(scheme.is_data_by_level[i, k])},"
-                    f"{fmt(scheme.weights_by_level[i, k])},{lv.label}"
-                )
+        header = "x,y,t,is_data,weight,mark"
+        labels = [f",{lv.label}" for lv in scheme.levels]
+        blocks = zip(scheme.is_data_by_level.tolist(), scheme.weights_by_level.tolist(), labels)
     elif isinstance(scheme, CubatureScheme):
-        lines.append("x,y,t,is_data,weight")
-        for k in range(scheme.size):
-            x, y, t = scheme.coords[k]
-            lines.append(f"{fmt(x)},{fmt(y)},{fmt(t)},{int(scheme.is_data[k])},{fmt(scheme.weights[k])}")
+        header = "x,y,t,is_data,weight"
+        blocks = [(scheme.is_data.tolist(), scheme.weights.tolist(), "")]
     else:
         raise TypeError(f"not a cubature scheme: {type(scheme).__name__}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cells = [f"{fmt(x)},{fmt(y)},{fmt(t)}" for x, y, t in scheme.coords.tolist()]
+    rows = [f"{c},{e},{fmt(w)}{label}" for es, ws, label in blocks for c, e, w in zip(cells, es, ws)]
+    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

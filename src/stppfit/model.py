@@ -203,7 +203,7 @@ class FittedModel:
 
     def predict_intensity(self, p: SpaceTimePoint, mark=None) -> float:
         """Fitted intensity at a point (a mark is required iff the model is marked)."""
-        if not self.window.contains_point(p):
+        if not self.window.contains(*p):
             raise ValueError(
                 f"point ({p.x}, {p.y}, {p.t}) lies outside the fitted window"
             )

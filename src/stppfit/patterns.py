@@ -1,14 +1,18 @@
-"""Space-time geometry and point-pattern data model.
+"""Space-time geometry and the columnar point-pattern data model.
 
-Events live in a bounded axis-aligned box (the observation window); a
-pattern is a finite ordered collection of events, optionally carrying a
-categorical mark. All types are immutable after construction and safe to
-share across threads.
+Events live in a bounded axis-aligned box (the observation window). A
+pattern stores them as one validated, read-only ``(n, 3)`` float array
+``xyt`` (columns x, y, t, rows in pattern order); a marked pattern adds
+``marks``, integer positions into its ``levels``. ``SpaceTimePoint`` is the
+scalar type at the API edges: ``points`` builds those objects on demand,
+and no fitting code calls it. Patterns hold arrays, so they do not compare
+with ``==``. All types are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +32,10 @@ _AXES = ("x", "y", "t")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """C-contiguous, non-writeable version of ``a`` (shared by every frozen array holder)."""
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
+    """Non-writeable C-contiguous view of ``a``; the array passed in stays writeable."""
+    view = np.ascontiguousarray(a).view()
+    view.flags.writeable = False
+    return view
 
 
 def _as_interval(name: str, rng) -> tuple[float, float]:
@@ -46,20 +50,17 @@ def _as_interval(name: str, rng) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """An event at spatial location (x, y) occurring at time t."""
+class SpaceTimePoint(namedtuple("SpaceTimePoint", "x y t")):
+    """An event at spatial location (x, y) occurring at time t (finite floats)."""
 
-    x: float
-    y: float
-    t: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in _AXES:
-            v = float(getattr(self, name))
+    def __new__(cls, x, y, t):
+        xyt = (float(x), float(y), float(t))
+        for name, v, raw in zip(_AXES, xyt, (x, y, t)):
             if not math.isfinite(v):
-                raise ValueError(f"coordinate {name} must be finite, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, v)
+                raise ValueError(f"coordinate {name} must be finite, got {raw!r}")
+        return super().__new__(cls, *xyt)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.t)
@@ -91,15 +92,12 @@ class Window:
         return cls((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
 
     @classmethod
-    def bounding(cls, points) -> "Window":
-        """Smallest window containing all points (degenerate axes rejected)."""
-        pts = list(points)
-        if not pts:
+    def bounding(cls, xyt) -> "Window":
+        """Smallest window containing the rows of an (n, 3) array (degenerate axes rejected)."""
+        xyt = np.asarray(xyt, dtype=float).reshape(-1, 3)
+        if not len(xyt):
             raise ValueError("cannot infer a window from an empty point list")
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        ts = [p.t for p in pts]
-        return cls((min(xs), max(xs)), (min(ys), max(ys)), (min(ts), max(ts)))
+        return cls(*zip(xyt.min(axis=0).tolist(), xyt.max(axis=0).tolist()))
 
     @property
     def ranges(self) -> tuple[tuple[float, float], ...]:
@@ -120,9 +118,6 @@ class Window:
             and self.t_range[0] <= t <= self.t_range[1]
         )
 
-    def contains_point(self, p: SpaceTimePoint) -> bool:
-        return self.contains(p.x, p.y, p.t)
-
     def contains_window(self, other: "Window") -> bool:
         return all(
             o_lo >= s_lo and o_hi <= s_hi
@@ -130,43 +125,59 @@ class Window:
         )
 
 
-def _check_inside(window: Window, points, describe) -> None:
-    for i, p in enumerate(points):
-        if not window.contains_point(p):
-            raise ValueError(
-                f"{describe} {i} at ({p.x}, {p.y}, {p.t}) lies outside the window "
-                f"x{window.x_range} y{window.y_range} t{window.t_range}"
-            )
+def _validated_xyt(window: Window, points, describe: str) -> np.ndarray:
+    """Copy ``points`` into a read-only (n, 3) array of finite coordinates inside ``window``."""
+    xyt = np.array(points, dtype=float)
+    if xyt.size and xyt.shape[-1] != 3:
+        raise ValueError(f"{describe} coordinates must form an (n, 3) array, got shape {xyt.shape}")
+    xyt = xyt.reshape(-1, 3)
+    lo, hi = np.array(window.ranges).T
+    bad = ~((xyt >= lo) & (xyt <= hi)).all(axis=1)  # nan fails both comparisons
+    if bad.any():
+        i = int(np.argmax(bad))
+        x, y, t = xyt[i].tolist()
+        problem = "lies outside" if np.isfinite(xyt[i]).all() else "is not finite, so not inside"
+        raise ValueError(
+            f"{describe} {i} at ({x}, {y}, {t}) {problem} the window "
+            f"x{window.x_range} y{window.y_range} t{window.t_range}"
+        )
+    return _readonly(xyt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PointPattern:
-    """Finite ordered set of events inside a window (count not fixed)."""
+    """Finite ordered set of events inside a window (count not fixed).
+
+    ``points`` (an (n, 3) array-like or ``SpaceTimePoint`` sequence) is copied,
+    so later writes to the caller's array cannot move an event out of the window.
+    """
 
     window: Window
-    points: tuple[SpaceTimePoint, ...] = ()
+    xyt: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        _check_inside(self.window, self.points, "point")
+    def __init__(self, window: Window, points=()):
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "xyt", _validated_xyt(window, points, "point"))
 
     @classmethod
     def from_arrays(cls, window: Window, x, y, t) -> "PointPattern":
         x, y, t = (np.asarray(a, dtype=float).ravel() for a in (x, y, t))
         if not (x.size == y.size == t.size):
             raise ValueError("x, y, t must have equal lengths")
-        pts = tuple(SpaceTimePoint(*c) for c in zip(x, y, t))
-        return cls(window, pts)
+        return cls(window, np.column_stack([x, y, t]))
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.xyt)
 
     def coords(self) -> np.ndarray:
-        """Coordinates as an (n, 3) float array in pattern order."""
-        if not self.points:
-            return np.empty((0, 3), dtype=float)
-        return np.array([p.as_tuple() for p in self.points], dtype=float)
+        """Coordinates as the read-only (n, 3) float array, in pattern order."""
+        return self.xyt
+
+    @property
+    def points(self) -> tuple[SpaceTimePoint, ...]:
+        """The events as ``SpaceTimePoint`` objects, built on each access."""
+        return tuple(map(SpaceTimePoint._make, self.xyt.tolist()))
 
 
 @dataclass(frozen=True)
@@ -184,61 +195,69 @@ class MarkLevel:
         object.__setattr__(self, "index", int(self.index))
 
 
-@dataclass(frozen=True)
+def _mark_codes(labels) -> tuple[np.ndarray, tuple[MarkLevel, ...]]:
+    """Levels from the sorted unique labels, and each label's 0-based position among them."""
+    if not len(labels):
+        raise ValueError("cannot derive mark levels from an empty pattern; pass levels explicitly")
+    unique, codes = np.unique(np.array(labels, dtype=object), return_inverse=True)
+    return codes, tuple(MarkLevel(lab, i + 1) for i, lab in enumerate(unique))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class MarkedPointPattern:
     """Pattern whose events carry a categorical mark from a fixed level set.
 
+    ``marks[i]`` is the 0-based position of event i's level in ``levels``.
     The per-level sub-patterns partition the ground (location-only)
     pattern; every declared level is allowed to be empty.
     """
 
     window: Window
-    points: tuple[tuple[SpaceTimePoint, MarkLevel], ...] = ()
-    levels: tuple[MarkLevel, ...] = ()
+    xyt: np.ndarray
+    marks: np.ndarray
+    levels: tuple[MarkLevel, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(tuple(pm) for pm in self.points))
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if not self.levels:
+    def __init__(self, window: Window, xyt=(), marks=(), levels=()):
+        levels = tuple(levels)
+        if not levels:
             raise ValueError("a marked pattern needs at least one mark level")
-        labels = [lv.label for lv in self.levels]
+        labels = [lv.label for lv in levels]
         if len(set(labels)) != len(labels):
             raise ValueError(f"mark labels must be distinct, got {labels}")
-        if sorted(lv.index for lv in self.levels) != list(range(1, len(self.levels) + 1)):
+        if sorted(lv.index for lv in levels) != list(range(1, len(levels) + 1)):
             raise ValueError("mark indices must be a bijection onto 1..M")
-        level_set = set(self.levels)
-        for i, (p, m) in enumerate(self.points):
-            if m not in level_set:
-                raise ValueError(f"point {i} carries unknown mark {m.label!r}")
-        _check_inside(self.window, [p for p, _ in self.points], "marked point")
+        xyt = _validated_xyt(window, xyt, "marked point")
+        codes = np.asarray(marks)
+        if codes.shape != (len(xyt),) or (codes.size and codes.dtype.kind not in "iu"):
+            raise ValueError(f"need {len(xyt)} integer mark codes, got {codes.dtype} of shape {codes.shape}")
+        unknown = (codes < 0) | (codes >= len(levels))
+        if unknown.any():
+            i = int(np.argmax(unknown))
+            raise ValueError(f"point {i} carries unknown mark code {codes[i]} ({len(levels)} levels)")
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "xyt", xyt)
+        object.__setattr__(self, "marks", _readonly(codes.astype(np.intp)))
+        object.__setattr__(self, "levels", levels)
 
     @classmethod
     def from_labeled(cls, window: Window, labeled_points) -> "MarkedPointPattern":
         """Build from (point, label) pairs; levels are the sorted unique labels."""
-        labeled_points = list(labeled_points)
-        labels = sorted({lab for _, lab in labeled_points})
-        if not labels:
-            raise ValueError("cannot derive mark levels from an empty pattern; pass levels explicitly")
-        levels = tuple(MarkLevel(lab, i + 1) for i, lab in enumerate(labels))
-        by_label = {lv.label: lv for lv in levels}
-        pts = tuple((p, by_label[lab]) for p, lab in labeled_points)
-        return cls(window, pts, levels)
+        pairs = list(labeled_points)
+        points, labels = zip(*pairs) if pairs else ((), ())
+        return cls(window, points, *_mark_codes(labels))
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.xyt)
 
-    def level_by_label(self, label: str) -> MarkLevel:
-        for lv in self.levels:
-            if lv.label == label:
-                return lv
-        raise KeyError(f"unknown mark label {label!r}")
+    @property
+    def points(self) -> tuple[tuple[SpaceTimePoint, MarkLevel], ...]:
+        """(``SpaceTimePoint``, ``MarkLevel``) pairs, built on each access."""
+        levels = [self.levels[c] for c in self.marks.tolist()]
+        return tuple(zip(map(SpaceTimePoint._make, self.xyt.tolist()), levels))
 
     def counts_by_level(self) -> dict[MarkLevel, int]:
-        counts = {lv: 0 for lv in self.levels}
-        for _, m in self.points:
-            counts[m] += 1
-        return counts
+        return dict(zip(self.levels, np.bincount(self.marks, minlength=len(self.levels)).tolist()))
 
 
 def split_by_mark(pattern: MarkedPointPattern) -> dict[MarkLevel, PointPattern]:
@@ -247,24 +266,29 @@ def split_by_mark(pattern: MarkedPointPattern) -> dict[MarkLevel, PointPattern]:
     Sub-patterns share the window, preserve within-level order, and their
     counts sum to the ground count.
     """
-    buckets: dict[MarkLevel, list[SpaceTimePoint]] = {lv: [] for lv in pattern.levels}
-    for p, m in pattern.points:
-        buckets[m].append(p)
-    return {lv: PointPattern(pattern.window, tuple(pts)) for lv, pts in buckets.items()}
+    window, xyt, marks = pattern.window, pattern.xyt, pattern.marks
+    return {lv: PointPattern(window, xyt[marks == i]) for i, lv in enumerate(pattern.levels)}
 
 
 def ground_pattern(pattern: MarkedPointPattern) -> PointPattern:
-    """Drop the marks, keeping all locations in their original order."""
-    return PointPattern(pattern.window, tuple(p for p, _ in pattern.points))
+    """Drop the marks, keeping all locations in order (sharing the validated, frozen array)."""
+    ground = PointPattern.__new__(PointPattern)
+    object.__setattr__(ground, "window", pattern.window)
+    object.__setattr__(ground, "xyt", pattern.xyt)
+    return ground
 
 
 def find_duplicate_points(pattern: PointPattern) -> list[tuple[int, ...]]:
-    """Groups of indices whose coordinates coincide exactly.
+    """Groups of indices whose coordinates coincide exactly (``-0.0 == 0.0``).
 
-    Duplicates are stored, not rejected; downstream fitting warns because
-    the model assumes simple patterns. Cubature weights stay well defined.
+    Groups come in order of first occurrence, indices ascending. Duplicates
+    are stored, not rejected; downstream fitting warns because the model
+    assumes simple patterns. Cubature weights stay well defined.
     """
-    seen: dict[tuple[float, float, float], list[int]] = {}
-    for i, p in enumerate(pattern.points):
-        seen.setdefault(p.as_tuple(), []).append(i)
-    return [tuple(ix) for ix in seen.values() if len(ix) > 1]
+    order = np.lexsort(pattern.xyt.T)  # stable: equal rows keep ascending indices
+    rows = pattern.xyt[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    sizes = np.diff(np.r_[starts, len(rows)])
+    dup = sizes > 1
+    groups = [tuple(order[a : a + k].tolist()) for a, k in zip(starts[dup].tolist(), sizes[dup].tolist())]
+    return sorted(groups)  # disjoint groups, so this orders them by first index

@@ -300,6 +300,16 @@ class TestConvergenceStudyCommand:
         for a, b in zip(rmse, rmse[1:]):
             assert b <= a * 1.10  # one mild inversion tolerated
 
+    def test_config_scalars_are_one_element_lists(self, workdir):
+        config = {"window": [0, 1, 0, 1, 0, 1], "seeds": 7, "resolutions": 4}
+        (workdir / "scalars.json").write_text(json.dumps(config))
+        r = run_cli(
+            "convergence-study", "--config", "scalars.json", "--log-intensity", "4",
+            "--lambda-max", "54.7", "--out", "scalars.csv", cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        assert len((workdir / "scalars.csv").read_text().splitlines()) == 2
+
     def test_usage_without_subcommand(self, workdir):
         r = run_cli(cwd=workdir)
         assert r.returncode == 2

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stppfit import (
     CubatureScheme,
@@ -19,6 +22,7 @@ from stppfit import (
     replicated_responses,
     responses,
 )
+from stppfit.cubature import WEIGHT_SUM_RTOL, cell_axes
 
 UNIT = Window.unit_cube()
 
@@ -354,3 +358,81 @@ class TestImmutability:
             scheme.n_data = 5
         with pytest.raises(AttributeError):
             GridResolution(1, 1, 1).nx = 2
+
+
+def quiet_scheme(window, res, xyt):
+    """Scheme from columnar input, with the few-dummies warning silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CubatureWarning)
+        return build_scheme(PointPattern.from_arrays(window, *np.reshape(xyt, (-1, 3)).T), res)
+
+
+@st.composite
+def offset_windows(draw):
+    lo = [draw(st.floats(-1000.0, 3000.0)) for _ in range(3)]
+    length = [draw(st.floats(0.01, 1000.0)) for _ in range(3)]
+    return Window(*((a, a + n) for a, n in zip(lo, length)))
+
+
+@st.composite
+def exact_grids(draw):
+    """Offset windows whose interior cell boundaries lo + j * width are exact doubles."""
+    ranges, per_axis = [], []
+    for _ in range(3):
+        n = draw(st.integers(1, 8))
+        width = draw(st.sampled_from([0.125, 0.5, 1.0, 2.5, 5.0, 125.0]))
+        lo = draw(st.sampled_from([0.0, 2000.0]) | st.integers(-1000, 3000).map(lambda v: v / 4))
+        ranges.append((lo, lo + n * width))
+        per_axis.append(n)
+    return Window(*ranges), GridResolution(*per_axis)
+
+
+def assert_bins_into(window, res, p, cells):
+    """``p`` lands in cell ``cells`` (per-axis indices) for cube_index and for the scheme."""
+    want = cells[0] + res.nx * (cells[1] + res.ny * cells[2])
+    assert cube_index(window, res, SpaceTimePoint(*p)) == want
+    scheme = quiet_scheme(window, res, p)
+    nu = res.cell_volume(window)
+    # the data point and the dummy of its cell share that cell's volume
+    assert scheme.weights[0] == scheme.weights[1 + want] == nu / 2
+
+
+class TestSchemeProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        offset_windows(),
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)), max_size=30),
+    )
+    def test_weights_sum_to_window_volume(self, window, per_axis, fractions):
+        lo, hi = np.array(window.ranges).T
+        xyt = np.clip(lo + np.reshape(fractions, (-1, 3)) * (hi - lo), lo, hi)
+        scheme = quiet_scheme(window, GridResolution(*per_axis), xyt)
+        vol = window.volume()
+        assert abs(scheme.weights.sum() - vol) <= WEIGHT_SUM_RTOL * vol
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_grids(), st.integers(0, 2), st.data())
+    def test_boundary_goes_up_and_top_face_is_last_cell(self, grid, axis, data):
+        window, res = grid
+        n = res.per_axis[axis]
+        cells = [data.draw(st.integers(0, m - 1)) for m in res.per_axis]
+        p = [float(centers[c]) for centers, c in zip(cell_axes(window, res), cells)]
+        j = data.draw(st.integers(1, n))  # j == n is the upper face
+        lo, hi = window.ranges[axis]
+        p[axis] = lo + j * (hi - lo) / n
+        cells[axis] = min(j, n - 1)
+        assert_bins_into(window, res, p, cells)
+
+    def test_calendar_window_boundaries(self):
+        window = Window((0.0, 1000.0), (0.0, 1000.0), (2000.0, 2020.0))
+        res = GridResolution(8, 5, 4)
+        centers = cell_axes(window, res)
+        for axis, n in enumerate(res.per_axis):
+            lo, hi = window.ranges[axis]
+            for j in range(1, n + 1):
+                cells = [3, 2, 1]
+                p = [float(c[i]) for c, i in zip(centers, cells)]
+                p[axis] = lo + j * (hi - lo) / n
+                cells[axis] = min(j, n - 1)
+                assert_bins_into(window, res, p, cells)

@@ -45,6 +45,16 @@ def cubature_problem(n=60, res=5, seed=0, with_slope=False):
     return DesignMatrix(np.column_stack(cols), tuple(names)), y, w
 
 
+class TestDesignMatrix:
+    def test_caller_array_stays_writeable(self):
+        x = np.ones((4, 2))
+        design = DesignMatrix(x, ("a", "b"))
+        assert x.flags.writeable
+        assert not design.values.flags.writeable
+        with pytest.raises(ValueError):
+            design.values[0, 0] = 2.0
+
+
 class TestWeightedPoissonLoglik:
     def test_empty_data_at_zero_theta_cancels(self):
         X = DesignMatrix(np.ones((10, 1)), ("1",))

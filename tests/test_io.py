@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -102,6 +103,24 @@ class TestPatternCsv:
         path.write_text("x,y,t\n0.1,0.2\n")
         with pytest.raises(ValueError, match="columns"):
             read_pattern_csv(path, window=UNIT)
+
+    def test_unparsable_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,t\n0.1,0.2,0.3\n\n0.1,abc,0.3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: could not convert string to float: 'abc'")):
+            read_pattern_csv(path, window=UNIT)
+
+    def test_nonfinite_coordinate_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,t\n0.1,0.2,0.3\n0.1,nan,0.3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: column y must be finite, got nan")):
+            read_pattern_csv(path, window=UNIT)
+
+    def test_empty_mark_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,t,mark\n0.1,0.2,0.3,a\n0.2,0.2,0.3,\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: mark label must be a nonempty string")):
+            read_pattern_csv(path, window=UNIT, marked=True)
 
 
 class TestCovariateCsv:

@@ -320,8 +320,8 @@ class TestFitMultitype:
 
         rng = np.random.default_rng(22)
         levels = (MarkLevel("A", 1), MarkLevel("B", 2))
-        pts = tuple((SpaceTimePoint(*rng.random(3)), levels[0]) for _ in range(4))
-        pat = MarkedPointPattern(UNIT, pts, levels)
+        pts = tuple(SpaceTimePoint(*rng.random(3)) for _ in range(4))
+        pat = MarkedPointPattern(UNIT, pts, [0] * len(pts), levels)
         spec = ModelSpec((Intercept(),), multitype_mode=MarkFixedEffects(True))
         with pytest.raises(ValueError, match="'B'"):
             fit_multitype(pat, spec, RES8)

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stppfit import (
     MarkedPointPattern,
@@ -127,7 +130,7 @@ class TestMarkedPattern:
 
     def test_empty_pattern_with_declared_levels(self):
         levels = (MarkLevel("A", 1), MarkLevel("B", 2))
-        pat = MarkedPointPattern(unit_window(), (), levels)
+        pat = MarkedPointPattern(unit_window(), levels=levels)
         subs = split_by_mark(pat)
         assert all(sp.n == 0 for sp in subs.values())
         assert ground_pattern(pat).n == 0
@@ -150,23 +153,23 @@ class TestMarkedPattern:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            MarkedPointPattern(unit_window(), (), (MarkLevel("A", 1), MarkLevel("A", 2)))
+            MarkedPointPattern(unit_window(), levels=(MarkLevel("A", 1), MarkLevel("A", 2)))
 
     def test_bad_index_set_rejected(self):
         with pytest.raises(ValueError, match="bijection"):
-            MarkedPointPattern(unit_window(), (), (MarkLevel("A", 1), MarkLevel("B", 3)))
+            MarkedPointPattern(unit_window(), levels=(MarkLevel("A", 1), MarkLevel("B", 3)))
 
     def test_unknown_mark_rejected(self):
         levels = (MarkLevel("A", 1),)
-        stray = (SpaceTimePoint(0.5, 0.5, 0.5), MarkLevel("B", 2))
+        stray = SpaceTimePoint(0.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="unknown mark"):
-            MarkedPointPattern(unit_window(), (stray,), levels)
+            MarkedPointPattern(unit_window(), (stray,), [1], levels)
 
     def test_outside_marked_point_rejected(self):
         levels = (MarkLevel("A", 1),)
-        bad = (SpaceTimePoint(2.0, 0.5, 0.5), MarkLevel("A", 1))
+        bad = SpaceTimePoint(2.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="marked point 0"):
-            MarkedPointPattern(unit_window(), (bad,), levels)
+            MarkedPointPattern(unit_window(), (bad,), [0], levels)
 
 
 class TestDuplicates:
@@ -179,3 +182,71 @@ class TestDuplicates:
         rng = np.random.default_rng(9)
         pat = PointPattern.from_arrays(unit_window(), *rng.random((3, 50)))
         assert find_duplicate_points(pat) == []
+
+
+class TestArrayOwnership:
+    def test_pattern_copies_its_input(self):
+        xyt = np.full((3, 3), 0.5)
+        pat = PointPattern(unit_window(), xyt)
+        xyt[0] = 7.0
+        np.testing.assert_array_equal(pat.coords(), np.full((3, 3), 0.5))
+        assert xyt.flags.writeable
+        assert not pat.coords().flags.writeable
+
+    def test_nonfinite_coordinate_names_point(self):
+        with pytest.raises(ValueError, match=r"point 1 at \(0.5, nan, 0.5\).*finite"):
+            PointPattern(unit_window(), [[0.5, 0.5, 0.5], [0.5, math.nan, 0.5]])
+
+    def test_ground_pattern_shares_coordinates(self):
+        pat = two_level_pattern(3, 2)
+        assert ground_pattern(pat).coords() is pat.xyt
+
+
+def dict_oracle_duplicates(rows):
+    """Reference grouping: a dict keyed by coordinate tuples (so -0.0 == 0.0)."""
+    seen = {}
+    for i, row in enumerate(rows):
+        seen.setdefault(tuple(row), []).append(i)
+    return [tuple(ix) for ix in seen.values() if len(ix) > 1]
+
+
+# a small pool of values (signed zeros included) makes repeated rows common
+coordinate = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+rows = st.lists(st.tuples(coordinate, coordinate, coordinate), max_size=40)
+labeled_rows = st.lists(
+    st.tuples(st.tuples(coordinate, coordinate, coordinate), st.sampled_from(["b", "a", "c", "B", "a2"])),
+    min_size=1,
+    max_size=40,
+)
+
+
+def labeled_pattern(pairs):
+    return MarkedPointPattern.from_labeled(unit_window(), [(SpaceTimePoint(*xyz), lab) for xyz, lab in pairs])
+
+
+class TestPatternProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(rows)
+    def test_duplicates_match_dict_oracle(self, xyt):
+        assert find_duplicate_points(PointPattern(unit_window(), xyt)) == dict_oracle_duplicates(xyt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_rows)
+    def test_split_partitions_ground_in_order(self, pairs):
+        pat = labeled_pattern(pairs)
+        ground = ground_pattern(pat).coords()
+        subs = split_by_mark(pat)
+        for lv, sub in subs.items():
+            mine = [i for i, (_, lab) in enumerate(pairs) if lab == lv.label]
+            assert sub.coords().tobytes() == ground[mine].tobytes()
+        assert sum(sub.n for sub in subs.values()) == pat.n == len(pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_rows)
+    def test_levels_are_sorted_labels_and_counts_match(self, pairs):
+        pat = labeled_pattern(pairs)
+        labels = [lab for _, lab in pairs]
+        assert [lv.label for lv in pat.levels] == sorted(set(labels))
+        assert [lv.index for lv in pat.levels] == list(range(1, len(pat.levels) + 1))
+        assert {lv.label: c for lv, c in pat.counts_by_level().items()} == Counter(labels)
+        assert [m.label for _, m in pat.points] == labels
