@@ -166,9 +166,12 @@ def _read_pattern(ns, cfg, marked):
     """Read the --pattern CSV once, in --window or in the inferred bounding box."""
     path = _opt(ns, cfg, "pattern", required=True)
     window_arg = _opt(ns, cfg, "window")
+    infer = _opt(ns, cfg, "infer_window", default=False)
+    if window_arg is not None and infer:
+        raise UsageError("--window and --infer-window conflict")
     if window_arg is not None:
         return read_pattern_csv(path, window=_parse_window(window_arg), marked=marked)
-    if not _opt(ns, cfg, "infer_window", default=False):
+    if not infer:
         raise UsageError("pass --window x0,x1,y0,y1,t0,t1 or opt into --infer-window")
     pattern = read_pattern_csv(path, infer_window=True, marked=marked)
     window = pattern.window
@@ -263,6 +266,8 @@ def cmd_predict_grid(ns, cfg) -> int:
     out = _opt(ns, cfg, "out", required=True)
     marginal = bool(_opt(ns, cfg, "marginal", default=False))
     mark = _opt(ns, cfg, "mark")
+    if marginal and mark is not None:
+        raise UsageError("--marginal and --mark conflict")
 
     centers = cell_centers(model.window, res)
     x, y, t = centers[:, 0], centers[:, 1], centers[:, 2]

@@ -13,6 +13,7 @@ other identifier refers to a declared external covariate.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -93,65 +94,68 @@ class LogLinearExpression:
         return " + ".join(parts) if parts else "0"
 
 
+def _parse_product(tokens, pos, sign, text):
+    """Parse ``factor ('*' factor)*`` from tokens[pos].
+
+    A number factor multiplies the coefficient, which starts at ``sign``;
+    x, y or t with an optional ``^n`` adds n to that variable's exponent.
+    Returns the coefficient, the exponents, the position after the product
+    and the count of number factors.
+    """
+    coef, exps, numbers = sign, [0, 0, 0], 0
+    while True:
+        if pos >= len(tokens):
+            raise ValueError(f"{text!r} ends with a dangling {tokens[pos - 1][1]!r}")
+        kind, val = tokens[pos]
+        pos += 1
+        if kind == "number":
+            coef *= float(val)
+            numbers += 1
+        elif kind == "name" and val in _VARS:
+            power = 1.0
+            if tokens[pos : pos + 1] == [("op", "^")]:
+                if pos + 1 >= len(tokens) or tokens[pos + 1][0] != "number":
+                    raise ValueError(f"expected an integer exponent after {val}^ in {text!r}")
+                num = tokens[pos + 1][1]
+                power = float(num)
+                if not power.is_integer() or power < 0:
+                    raise ValueError(f"exponents must be nonnegative integers, got {num}")
+                pos += 2
+            exps[_VARS[val]] += int(power)
+        elif kind == "name":
+            raise ValueError(f"unknown variable {val!r} in {text!r}: only x, y, t are allowed")
+        else:
+            raise ValueError(f"unexpected token {val!r} in {text!r}")
+        if tokens[pos : pos + 1] != [("op", "*")]:
+            return coef, tuple(exps), pos, numbers
+        pos += 1
+
+
 def parse_log_linear(text: str) -> LogLinearExpression:
-    """Parse a signed sum of coefficient-times-monomial products."""
+    """Parse a signed sum of coefficient-times-monomial products.
+
+    Terms are joined by ``+`` or ``-``; every coefficient must be finite.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty log-intensity expression")
-    order: list[tuple[int, int, int]] = []
-    coefs: dict[tuple[int, int, int], float] = {}
-
+    coefs: dict[tuple[int, int, int], float] = {}  # insertion order is term order
     pos = 0
-
-    def parse_factor(coef, exps):
-        nonlocal pos
-        kind, val = tokens[pos]
-        if kind == "number":
-            coef *= float(val)
-            pos += 1
-        elif kind == "name":
-            if val not in _VARS:
-                raise ValueError(f"unknown variable {val!r}: only x, y, t are allowed")
-            pos += 1
-            power = 1
-            if pos < len(tokens) and tokens[pos] == ("op", "^"):
-                pos += 1
-                if pos >= len(tokens) or tokens[pos][0] != "number":
-                    raise ValueError(f"expected an integer exponent after {val}^")
-                num = tokens[pos][1]
-                power = float(num)
-                if power != int(power) or power < 0:
-                    raise ValueError(f"exponents must be nonnegative integers, got {num}")
-                power = int(power)
-                pos += 1
-            exps[_VARS[val]] += power
-        else:
-            raise ValueError(f"unexpected token {val!r} in term")
-        return coef
-
     while pos < len(tokens):
+        if pos and tokens[pos] not in (("op", "+"), ("op", "-")):
+            raise ValueError(f"expected '+' or '-' before {tokens[pos][1]!r} in {text!r}")
         sign = 1.0
-        while pos < len(tokens) and tokens[pos][0] == "op" and tokens[pos][1] in "+-":
+        while pos < len(tokens) and tokens[pos] in (("op", "+"), ("op", "-")):
             if tokens[pos][1] == "-":
                 sign = -sign
             pos += 1
-        if pos >= len(tokens):
-            raise ValueError("expression ends with a dangling sign")
-        coef = sign
-        exps = [0, 0, 0]
-        coef = parse_factor(coef, exps)
-        while pos < len(tokens) and tokens[pos] == ("op", "*"):
-            pos += 1
-            if pos >= len(tokens):
-                raise ValueError("expression ends with a dangling '*'")
-            coef = parse_factor(coef, exps)
-        key = tuple(exps)
-        if key not in coefs:
-            order.append(key)
-            coefs[key] = 0.0
-        coefs[key] += coef
-
-    return LogLinearExpression(tuple((key, coefs[key]) for key in order))
+        coef, key, pos, _ = _parse_product(tokens, pos, sign, text)
+        coefs[key] = coefs.get(key, 0.0) + coef
+    for key, coef in coefs.items():
+        if not math.isfinite(coef):
+            name = CoordinateMonomial(*key).name
+            raise ValueError(f"coefficient of {name} in {text!r} is not finite")
+    return LogLinearExpression(tuple(coefs.items()))
 
 
 def parse_term_list(
@@ -176,36 +180,8 @@ def parse_term_list(
             terms.append(externals[tok])
             continue
         tokens = _tokenize(tok)
-        exps = [0, 0, 0]
-        expect_var = True
-        i = 0
-        while i < len(tokens):
-            kind, val = tokens[i]
-            if expect_var:
-                if kind != "name" or val not in _VARS:
-                    raise ValueError(
-                        f"unknown term {tok!r}: expected one of x, y, t, got {val!r}"
-                    )
-                var = _VARS[val]
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i] == ("op", "^"):
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "number":
-                        raise ValueError(f"missing exponent in term {tok!r}")
-                    num = float(tokens[i][1])
-                    if num != int(num) or num < 0:
-                        raise ValueError(f"bad exponent in term {tok!r}")
-                    power = int(num)
-                    i += 1
-                exps[var] += power
-                expect_var = False
-            else:
-                if (kind, val) != ("op", "*"):
-                    raise ValueError(f"malformed term {tok!r}")
-                expect_var = True
-                i += 1
-        if expect_var:
+        _, exps, pos, numbers = _parse_product(tokens, 0, 1.0, tok)
+        if numbers or pos != len(tokens):
             raise ValueError(f"malformed term {tok!r}")
         terms.append(CoordinateMonomial(*exps))
     if not terms:

@@ -7,6 +7,10 @@ Fisher scoring with step halving keeps the (penalized) deviance
 non-increasing; the fit stops once the relative deviance change falls
 below the tolerance and the score equations hold to 1e-8 of the total
 weight.
+
+One kernel per formula: ``_score_fisher`` (score and Fisher matrix),
+``_loglik`` and the ``_overflows`` range check serve the public helpers,
+every IRLS step and the final covariance alike.
 """
 
 from __future__ import annotations
@@ -152,7 +156,8 @@ class FitResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-def _validated(X: DesignMatrix, y, w) -> tuple[np.ndarray, np.ndarray]:
+def _validated(X: DesignMatrix, y, w, theta=None):
+    """y, w and theta (None if not given) as float vectors, checked against X."""
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
     if y.size != X.n_rows or w.size != X.n_rows:
@@ -163,19 +168,36 @@ def _validated(X: DesignMatrix, y, w) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("responses must be finite and nonnegative")
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("weights must be finite and positive")
-    return y, w
+    if theta is not None:
+        theta = np.asarray(theta, dtype=float).ravel()
+        if theta.size != X.n_cols:
+            raise ValueError(f"theta has length {theta.size}, expected {X.n_cols}")
+    return y, w, theta
+
+
+def _overflows(eta: np.ndarray) -> bool:
+    return eta.size > 0 and float(np.abs(eta).max()) > MAX_LINEAR_PREDICTOR
 
 
 def _linear_predictor(X: DesignMatrix, theta: np.ndarray) -> np.ndarray:
     eta = X.values @ theta
-    amax = float(np.abs(eta).max()) if eta.size else 0.0
-    if amax > MAX_LINEAR_PREDICTOR:
+    if _overflows(eta):
         k = int(np.argmax(np.abs(eta)))
         raise PredictorOverflowError(
-            f"linear predictor overflows exp(): |eta| reaches {amax:.6g} at row {k} "
+            f"linear predictor overflows exp(): |eta| reaches {abs(eta[k]):.6g} at row {k} "
             f"(limit {MAX_LINEAR_PREDICTOR:g})"
         )
     return eta
+
+
+def _loglik(y: np.ndarray, w: np.ndarray, eta: np.ndarray, lam: np.ndarray) -> float:
+    return float(np.dot(w * y, eta) - np.dot(w, lam) + w.sum())
+
+
+def _score_fisher(X: DesignMatrix, y, w, theta, lam, pen) -> tuple[np.ndarray, np.ndarray]:
+    grad = X.values.T @ (w * (y - lam)) - pen * theta
+    fisher = (X.values * (w * lam)[:, None]).T @ X.values + np.diag(pen)
+    return grad, fisher
 
 
 def weighted_poisson_loglik(X: DesignMatrix, y, w, theta) -> float:
@@ -184,13 +206,9 @@ def weighted_poisson_loglik(X: DesignMatrix, y, w, theta) -> float:
     Zero responses contribute w_k (1 - exp(eta_k)); the y*log term is zero
     by convention.
     """
-    y, w = _validated(X, y, w)
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != X.n_cols:
-        raise ValueError(f"theta has length {theta.size}, expected {X.n_cols}")
+    y, w, theta = _validated(X, y, w, theta)
     eta = _linear_predictor(X, theta)
-    lam = np.exp(eta)
-    return float(np.dot(w * y, eta) - np.dot(w, lam) + w.sum())
+    return _loglik(y, w, eta, np.exp(eta))
 
 
 def score_and_fisher(
@@ -201,15 +219,10 @@ def score_and_fisher(
     gradient = X' (w * (y - lambda)) - ridge * theta_masked
     fisher   = X' diag(w * lambda) X + diag(ridge_mask)
     """
-    y, w = _validated(X, y, w)
+    y, w, theta = _validated(X, y, w, theta)
     cfg = cfg if cfg is not None else IrlsConfig()
-    theta = np.asarray(theta, dtype=float).ravel()
     pen = cfg.penalty_vector(X.n_cols)
-    eta = _linear_predictor(X, theta)
-    lam = np.exp(eta)
-    grad = X.values.T @ (w * (y - lam)) - pen * theta
-    fisher = (X.values * (w * lam)[:, None]).T @ X.values + np.diag(pen)
-    return grad, fisher
+    return _score_fisher(X, y, w, theta, np.exp(_linear_predictor(X, theta)), pen)
 
 
 def _deviance(y: np.ndarray, w: np.ndarray, lam: np.ndarray) -> float:
@@ -226,7 +239,7 @@ def _check_rank(X: DesignMatrix) -> None:
         raise RankDeficiencyError(
             f"design has more columns ({X.n_cols}) than rows ({X.n_rows})"
         )
-    _, r, piv = scipy.linalg.qr(X.values, mode="economic", pivoting=True)
+    _, r, piv = scipy.linalg.qr(X.values, mode="raw", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0:
         raise RankDeficiencyError(f"column {X.column_names[piv[0]]!r} is identically zero")
@@ -250,7 +263,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None) -> FitResult:
     reaching the iteration cap returns a result with ``converged=False``.
     """
     cfg = cfg if cfg is not None else IrlsConfig()
-    y, w = _validated(X, y, w)
+    y, w, _ = _validated(X, y, w)
     _check_rank(X)
     pen = cfg.penalty_vector(X.n_cols)
     sw = float(w.sum())
@@ -265,26 +278,23 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None) -> FitResult:
     if ones_cols.size:
         theta[ones_cols[0]] = math.log(swy / sw)
 
-    def penalized_deviance(lam_vec, th):
-        return _deviance(y, w, lam_vec) + float(np.dot(pen * th, th))
+    def deviances(lam_vec, th):  # plain and penalized
+        dev = _deviance(y, w, lam_vec)
+        return dev, dev + float(np.dot(pen * th, th))
 
     eta = _linear_predictor(X, theta)
     lam = np.exp(eta)
-    pdev = penalized_deviance(lam, theta)
+    dev, pdev = deviances(lam, theta)
     if not math.isfinite(pdev):
         raise FitError(f"initial deviance is not finite ({pdev!r})")
-    trace = [_deviance(y, w, lam)]
+    trace = [dev]
 
-    def gradient(lam_vec, th):
-        return X.values.T @ (w * (y - lam_vec)) - pen * th
-
-    converged = False
-    iterations = 0
+    # score and Fisher information at the current theta; each accepted step
+    # refreshes both once, so the covariance inverts the Fisher matrix at the end
+    grad, fisher = _score_fisher(X, y, w, theta, lam, pen)
     grad_tol = GRADIENT_RTOL * sw
-    # the score at the current theta; each accepted step refreshes it once
-    grad = gradient(lam, theta)
+    iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        fisher = (X.values * (w * lam)[:, None]).T @ X.values + np.diag(pen)
         try:
             delta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), grad)
         except scipy.linalg.LinAlgError as exc:
@@ -294,38 +304,27 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None) -> FitResult:
             ) from exc
 
         step = 1.0
-        accepted = False
         for _ in range(40):
             cand = theta + step * delta
             cand_eta = X.values @ cand
-            if float(np.abs(cand_eta).max()) <= MAX_LINEAR_PREDICTOR:
+            if not _overflows(cand_eta):
                 cand_lam = np.exp(cand_eta)
-                cand_pdev = penalized_deviance(cand_lam, cand)
+                cand_dev, cand_pdev = deviances(cand_lam, cand)
                 if math.isfinite(cand_pdev) and cand_pdev <= pdev + 1e-12 * max(1.0, abs(pdev)):
-                    accepted = True
                     break
             step *= 0.5
-        if not accepted:
+        else:
             # no usable step: already at the optimum within roundoff, or stuck
             iterations -= 1
             break
 
         rel_change = abs(pdev - cand_pdev) / max(abs(cand_pdev), 1e-300)
         theta, eta, lam, pdev = cand, cand_eta, cand_lam, cand_pdev
-        trace.append(_deviance(y, w, lam))
-        if not math.isfinite(pdev):
-            raise FitError(
-                f"deviance diverged at iteration {iterations}; deviance trace: {trace}"
-            )
-        grad = gradient(lam, theta)
+        trace.append(cand_dev)
+        grad, fisher = _score_fisher(X, y, w, theta, lam, pen)
         if rel_change <= cfg.tolerance and float(np.abs(grad).max()) <= grad_tol:
-            converged = True
             break
 
-    if not converged:
-        converged = float(np.abs(grad).max()) <= grad_tol
-
-    fisher = (X.values * (w * lam)[:, None]).T @ X.values + np.diag(pen)
     try:
         cov = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), np.eye(X.n_cols))
     except scipy.linalg.LinAlgError as exc:
@@ -335,9 +334,9 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None) -> FitResult:
     return FitResult(
         coefficients=theta,
         covariance=cov,
-        deviance=_deviance(y, w, lam),
-        log_likelihood_approx=float(np.dot(w * y, eta) - np.dot(w, lam) + sw),
+        deviance=trace[-1],
+        log_likelihood_approx=_loglik(y, w, eta, lam),
         iterations=iterations,
-        converged=converged,
+        converged=float(np.abs(grad).max()) <= grad_tol,
         deviance_trace=tuple(trace),
     )

@@ -285,6 +285,9 @@ def find_duplicate_points(pattern: PointPattern) -> list[tuple[int, ...]]:
     are stored, not rejected; downstream fitting warns because the model
     assumes simple patterns. Cubature weights stay well defined.
     """
+    xs = np.sort(pattern.xyt[:, 0])
+    if not (xs[1:] == xs[:-1]).any():  # a duplicate needs a tie in x; one sort rules most out
+        return []
     order = np.lexsort(pattern.xyt.T)  # stable: equal rows keep ascending indices
     rows = pattern.xyt[order]
     starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])

@@ -89,6 +89,15 @@ class TestSimulateCommand:
         assert r.returncode == 2
         assert "unknown variable" in r.stderr
 
+    def test_terms_without_operator_are_usage_error(self, workdir):
+        r = run_cli(
+            "simulate", "--window", WINDOW, "--log-intensity", "4 + 1.2x - 0.8t",
+            "--lambda-max", "185", "--seed", "1", "--out", "juxt.csv", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert "expected '+' or '-'" in r.stderr
+        assert not (workdir / "juxt.csv").exists()
+
 
 class TestFitCommand:
     def test_intercept_only_prints_closed_form(self, workdir):
@@ -129,6 +138,15 @@ class TestFitCommand:
         )
         assert r.returncode == 0, r.stderr
         assert "inferred window" in r.stderr
+
+    def test_window_with_infer_window_is_usage_error(self, workdir):
+        r = run_cli(
+            "fit", "--pattern", "u100.csv", "--window", WINDOW, "--infer-window",
+            "--terms", "1", "--grid", "6,6,6", "--out", "both.json", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert "conflict" in r.stderr
+        assert not (workdir / "both.json").exists()
 
     def test_external_covariate_fit(self, workdir):
         r = run_cli(
@@ -248,6 +266,15 @@ class TestPredictGridCommand:
             "--marginal", "--out", "x.csv", cwd=fitted,
         )
         assert r.returncode == 2
+
+    def test_marginal_with_mark_is_usage_error(self, fitted):
+        r = run_cli(
+            "predict-grid", "--model", "marked.json", "--grid", "2,2,2",
+            "--marginal", "--mark", "A", "--out", "marginal_a.csv", cwd=fitted,
+        )
+        assert r.returncode == 2
+        assert "conflict" in r.stderr
+        assert not (fitted / "marginal_a.csv").exists()
 
 
 class TestConvergenceStudyCommand:

@@ -60,7 +60,11 @@ class TestParseLogLinear:
         assert again.monomials == expr.monomials
 
     @pytest.mark.parametrize(
-        "bad", ["z + 1", "4 +", "1.2*", "x^-1", "x^0.5", "", "4 & x"]
+        "bad",
+        [
+            "z + 1", "4 +", "1.2*", "x^-1", "x^0.5", "", "4 & x",
+            "4 + 1.2x - 0.8t", "4 x", "2 3", "1e400 + x",
+        ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):

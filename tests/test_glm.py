@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stppfit import (
     DesignMatrix,
@@ -134,6 +136,11 @@ class TestScoreAndFisher:
             assert fd == pytest.approx(grad[j], rel=1e-4)
         assert fisher[1, 1] > fisher[0, 0]  # ridge adds to the penalized diagonal
 
+    def test_wrong_length_theta_names_lengths(self):
+        X, y, w = cubature_problem(n=20, res=3, seed=8, with_slope=True)
+        with pytest.raises(ValueError, match="theta has length 3, expected 2"):
+            score_and_fisher(X, y, w, [0.0, 0.0, 0.0])
+
     def test_fisher_is_symmetric(self):
         X, y, w = cubature_problem(n=30, res=4, seed=6, with_slope=True)
         _, fisher = score_and_fisher(X, y, w, [0.1, 0.2])
@@ -234,6 +241,34 @@ class TestFitIrls:
         res = fit_irls(X, y, w, cfg)
         grad, _ = score_and_fisher(X, y, w, res.coefficients, cfg)
         assert np.abs(grad).max() <= 1e-8 * w.sum()
+
+
+class TestFitIrlsProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 4),
+        ridge=st.booleans(),
+        max_iterations=st.sampled_from([1, 2, 100]),
+    )
+    def test_result_agrees_with_public_kernels(self, seed, p, ridge, max_iterations):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(p + 3, 60))
+        values = np.column_stack([np.ones(rows), rng.normal(size=(rows, p - 1))])
+        X = DesignMatrix(values, tuple(f"c{j}" for j in range(p)))
+        y = np.where(rng.random(rows) < 0.3, 0.0, rng.gamma(2.0, 2.0, size=rows))
+        y[:p] += 1.0
+        w = rng.uniform(0.05, 2.0, size=rows)
+        cfg = IrlsConfig(
+            max_iterations=max_iterations,
+            ridge=float(rng.uniform(0.1, 5.0)) if ridge else 0.0,
+            ridge_mask=tuple(int(v) for v in rng.integers(0, 2, size=p)) if ridge else None,
+        )
+        res = fit_irls(X, y, w, cfg)
+        assert res.deviance == res.deviance_trace[-1]
+        assert res.log_likelihood_approx == weighted_poisson_loglik(X, y, w, res.coefficients)
+        grad, _ = score_and_fisher(X, y, w, res.coefficients, cfg)
+        assert res.converged == (float(np.abs(grad).max()) <= 1e-8 * w.sum())
 
 
 class TestValidation:

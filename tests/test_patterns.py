@@ -183,6 +183,16 @@ class TestDuplicates:
         pat = PointPattern.from_arrays(unit_window(), *rng.random((3, 50)))
         assert find_duplicate_points(pat) == []
 
+    @pytest.mark.parametrize(
+        "xyt, groups",
+        [
+            ([[0.5, 0.1, 0.2], [0.5, 0.3, 0.2]], []),  # x ties, y differs
+            ([[0.5, 0.1, 0.2], [0.5, 0.3, 0.2], [-0.0, 0.4, 0.4], [0.0, 0.4, 0.4]], [(2, 3)]),
+        ],
+    )
+    def test_x_ties_alone_are_not_duplicates(self, xyt, groups):
+        assert find_duplicate_points(PointPattern(unit_window(), xyt)) == groups
+
 
 class TestArrayOwnership:
     def test_pattern_copies_its_input(self):
