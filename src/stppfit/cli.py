@@ -31,6 +31,7 @@ from .io import (
     window_to_dict,
     write_json,
     write_pattern_csv,
+    write_surface_csv,
 )
 from .model import FittedModel, MarkFixedEffects, ModelSpec, fit_multitype, fit_stpp
 from .patterns import PointPattern, Window
@@ -195,14 +196,20 @@ def _build_externals(ns, cfg, window) -> dict[str, ExternalCovariate]:
     )
     res_arg = _opt(ns, cfg, "covariate_grid")
     res = DEFAULT_FINE_RESOLUTION if res_arg is None else _parse_resolution(res_arg, "--covariate-grid")
-    externals = {}
+    paths = {}
     for decl in decls:
         name, sep, path = str(decl).partition("=")
         if not sep or not name or not path:
             raise UsageError(f"--covariate expects name=path.csv, got {decl!r}")
-        samples = read_covariate_samples(path)
-        externals[name] = ExternalCovariate(smooth_to_grid(samples, window, res, idw), name)
-    return externals
+        if name in ("x", "y", "t"):
+            raise UsageError(f"--covariate name {name!r} is a coordinate; choose another name")
+        if name in paths:
+            raise UsageError(f"--covariate {name!r} is declared twice")
+        paths[name] = path
+    return {
+        name: ExternalCovariate(smooth_to_grid(read_covariate_samples(path), window, res, idw), name)
+        for name, path in paths.items()
+    }
 
 
 def _print_fit_summary(model: FittedModel, verbose: bool) -> None:
@@ -269,26 +276,20 @@ def cmd_predict_grid(ns, cfg) -> int:
     if marginal and mark is not None:
         raise UsageError("--marginal and --mark conflict")
 
-    centers = cell_centers(model.window, res)
-    x, y, t = centers[:, 0], centers[:, 1], centers[:, 2]
-    header = "x,y,t,intensity"
+    x, y, t = cell_centers(model.window, res).T
     if marginal:
         if not model.is_marked:
             raise UsageError("--marginal applies to multitype models only")
-        blocks = [(model.marginal_values(x, y, t), "")]
+        blocks = [(model.marginal_values(x, y, t), None)]
     elif model.is_marked:
         levels = [model.level(mark)] if mark is not None else list(model.levels)
-        header += ",mark"
-        blocks = [(model.intensity_values(x, y, t, mark=lv), f",{lv.label}") for lv in levels]
+        blocks = [(model.intensity_values(x, y, t, mark=lv), lv.label) for lv in levels]
     else:
         if mark is not None:
             raise UsageError("--mark applies to multitype models only")
-        blocks = [(model.intensity_values(x, y, t), "")]
-    lines = [header]
-    for vals, label in blocks:
-        lines += [f"{fmt(c[0])},{fmt(c[1])},{fmt(c[2])},{fmt(v)}{label}" for c, v in zip(centers, vals)]
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(lines) - 1} intensity rows -> {out}")
+        blocks = [(model.intensity_values(x, y, t), None)]
+    n_rows = write_surface_csv(out, model.window, res, blocks)
+    print(f"wrote {n_rows} intensity rows -> {out}")
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .cubature import GridResolution, cell_axes, cell_centers, cell_indices
+from .cubature import GridResolution, cell_axes, cell_indices
 from .patterns import SpaceTimePoint, Window, _readonly
 
 __all__ = [
@@ -191,9 +191,6 @@ class CovariateGrid:
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid values must all be finite")
         object.__setattr__(self, "values", vals)
-
-    def centers(self) -> np.ndarray:
-        return cell_centers(self.window, self.resolution)
 
 
 def smooth_to_grid(

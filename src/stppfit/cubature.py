@@ -7,10 +7,9 @@ cubature points sharing its cell, so the weights always sum to the window
 volume. The 0/1 data indicators and the responses ``y_k = e_k / a_k`` turn
 the intensity log-likelihood into a weighted Poisson regression.
 
-For multitype patterns the scheme is replicated: every level shares one
-location list (all data locations plus the dummy grid) and gets its own
-indicator row, with level-specific indicators and per-level weight rows
-each summing to the window volume.
+For multitype patterns the scheme is the ground pattern's scheme plus the
+mark code of each data row: every level shares the locations and the one
+weight vector, and gets its own indicator row, derived from the marks.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .patterns import (
     SpaceTimePoint,
     Window,
     _readonly,
+    _validated_marks,
     find_duplicate_points,
     ground_pattern,
 )
@@ -214,90 +214,52 @@ def responses(scheme: CubatureScheme) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ReplicatedCubatureScheme:
-    """One shared location list with per-level indicators and weights.
+class ReplicatedCubatureScheme(CubatureScheme):
+    """The ground pattern's scheme plus the mark code of each data row.
 
-    Locations are all ground data points followed by the dummy grid; a
-    data location has indicator 1 exactly for its own level. Weight rows
-    are computed over the shared location set, so each level's weights
-    sum to the window volume.
+    Every level shares the locations and the weights; a data location has
+    indicator 1 exactly for its own level, so other levels' data points act
+    as extra dummies. ``weights_by_level`` and ``is_data_by_level`` are
+    read-only (M, K) arrays derived from ``weights`` and ``marks``.
     """
 
-    window: Window
-    resolution: GridResolution
     levels: tuple[MarkLevel, ...]
-    coords: np.ndarray  # (K, 3) shared locations
-    is_data_by_level: np.ndarray  # (M, K) 0/1
-    weights_by_level: np.ndarray  # (M, K) positive
-    n_ground: int
-    n_dummy: int
+    marks: np.ndarray  # (n_data,) positions into levels, in data-row order
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "levels", tuple(self.levels))
-        coords = _readonly(np.asarray(self.coords, dtype=float).reshape(-1, 3))
-        e = _readonly(np.asarray(self.is_data_by_level, dtype=np.uint8))
-        w = _readonly(np.asarray(self.weights_by_level, dtype=float))
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "is_data_by_level", e)
-        object.__setattr__(self, "weights_by_level", w)
-        m, k = len(self.levels), self.n_ground + self.n_dummy
-        if m == 0:
-            raise ValueError("a replicated scheme needs at least one mark level")
-        if coords.shape != (k, 3) or e.shape != (m, k) or w.shape != (m, k):
-            raise ValueError("inconsistent replicated scheme shapes")
-        if not np.all(np.isin(e, (0, 1))):
-            raise ValueError("indicators must be 0 or 1")
-        col_sums = e.sum(axis=0)
-        if np.any(col_sums[: self.n_ground] != 1):
-            raise ValueError("each data location must belong to exactly one level")
-        if np.any(col_sums[self.n_ground:] != 0):
-            raise ValueError("dummy locations must have all-zero indicators")
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise ValueError("all cubature weights must be positive and finite")
-        vol = self.window.volume()
-        sums = w.sum(axis=1)
-        if np.any(np.abs(sums - vol) > WEIGHT_SUM_RTOL * vol):
-            raise ValueError(f"per-level weight sums {sums} do not match window volume {vol!r}")
+        object.__setattr__(self, "marks", _validated_marks(self.marks, self.n_data, self.levels))
 
     @property
     def n_levels(self) -> int:
         return len(self.levels)
 
     @property
-    def size(self) -> int:
-        return self.n_ground + self.n_dummy
+    def weights_by_level(self) -> np.ndarray:
+        return np.broadcast_to(self.weights, (self.n_levels, self.size))
+
+    @property
+    def is_data_by_level(self) -> np.ndarray:
+        e = np.zeros((self.n_levels, self.size), dtype=np.uint8)
+        e[self.marks, np.flatnonzero(self.is_data)] = 1
+        return _readonly(e)
 
     def n_by_level(self) -> dict[MarkLevel, int]:
-        return {lv: int(self.is_data_by_level[i].sum()) for i, lv in enumerate(self.levels)}
+        return dict(zip(self.levels, np.bincount(self.marks, minlength=self.n_levels).tolist()))
 
 
 def build_replicated_scheme(
     pattern: MarkedPointPattern, res: GridResolution = DEFAULT_RESOLUTION
 ) -> ReplicatedCubatureScheme:
-    """Replicated scheme for a multitype pattern.
+    """Replicated scheme for a multitype pattern: the ground pattern's scheme plus its marks.
 
-    The shared locations are the ground pattern followed by the dummy
-    grid. Every level sees the full location set (other levels' data
-    points act as extra dummies for it), and weights are computed once
-    over that shared set, which keeps each level's weight sum equal to
-    the window volume.
+    Weights are computed once over the shared locations (the ground data
+    points followed by the dummy grid), so each level's weights sum to the
+    window volume.
     """
     base = build_scheme(ground_pattern(pattern), res)
-    m = len(pattern.levels)
-    k = base.size
-    e = np.zeros((m, k), dtype=np.uint8)
-    e[pattern.marks, np.arange(pattern.n)] = 1
-    w = np.tile(base.weights, (m, 1))
-    return ReplicatedCubatureScheme(
-        pattern.window,
-        res,
-        pattern.levels,
-        base.coords,
-        e,
-        w,
-        base.n_data,
-        base.n_dummy,
-    )
+    return ReplicatedCubatureScheme(**vars(base), levels=pattern.levels, marks=pattern.marks)
 
 
 def replicated_responses(scheme: ReplicatedCubatureScheme) -> np.ndarray:

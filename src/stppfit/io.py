@@ -9,6 +9,7 @@ repository root documents every column.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .covariates import (
     ExternalCovariate,
     Intercept,
 )
-from .cubature import CubatureScheme, GridResolution, ReplicatedCubatureScheme
+from .cubature import CubatureScheme, GridResolution, ReplicatedCubatureScheme, cell_axes
 from .glm import FitResult
 from .model import FittedModel, MarkFixedEffects, ModelSpec
 from .patterns import MarkedPointPattern, MarkLevel, PointPattern, SpaceTimePoint, Window, _mark_codes
@@ -33,6 +34,7 @@ __all__ = [
     "write_covariate_samples",
     "write_scheme_csv",
     "write_grid_csv",
+    "write_surface_csv",
     "save_grid",
     "load_grid",
     "save_model",
@@ -150,13 +152,32 @@ def write_covariate_samples(samples, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _cell_rows(window: Window, res: GridResolution) -> Iterator[str]:
+    """`x,y,t` text of every cell centre in cell-id order (x fastest), each axis value
+    formatted once; a generator, so no list of prefixes is held next to the rows."""
+    fx, fy, ft = ([fmt(v) for v in axis.tolist()] for axis in cell_axes(window, res))
+    return (f"{x},{y},{t}" for t in ft for y in fy for x in fx)
+
+
 def write_grid_csv(grid: CovariateGrid, path) -> None:
     """Human-readable grid dump: one row per cell in cell-id order."""
-    centers = grid.centers()
+    cells = _cell_rows(grid.window, grid.resolution)
     lines = ["cell_id,x_center,y_center,t_center,value"]
-    for i, (c, v) in enumerate(zip(centers, grid.values)):
-        lines.append(f"{i},{fmt(c[0])},{fmt(c[1])},{fmt(c[2])},{fmt(v)}")
+    lines += [f"{i},{c},{fmt(v)}" for i, (c, v) in enumerate(zip(cells, grid.values.tolist()))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_surface_csv(path, window: Window, res: GridResolution, blocks) -> int:
+    """Write `x,y,t,intensity` rows, one per cell centre in cell-id order for each
+    ``(values, label)`` block, with a `mark` column when the labels are not None.
+    Returns the number of rows written."""
+    marked = blocks[0][1] is not None
+    lines = ["x,y,t,intensity,mark" if marked else "x,y,t,intensity"]
+    for values, label in blocks:
+        suffix = f",{label}" if marked else ""
+        lines += [f"{c},{fmt(v)}{suffix}" for c, v in zip(_cell_rows(window, res), values.tolist())]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return len(lines) - 1
 
 
 def save_grid(grid: CovariateGrid, header_path) -> None:
@@ -204,15 +225,15 @@ def write_scheme_csv(scheme, path) -> None:
     """Dump a scheme (`x,y,t,is_data,weight`, plus `mark` when replicated)."""
     if isinstance(scheme, ReplicatedCubatureScheme):
         header = "x,y,t,is_data,weight,mark"
-        labels = [f",{lv.label}" for lv in scheme.levels]
-        blocks = zip(scheme.is_data_by_level.tolist(), scheme.weights_by_level.tolist(), labels)
+        blocks = zip(scheme.is_data_by_level.tolist(), [f",{lv.label}" for lv in scheme.levels])
     elif isinstance(scheme, CubatureScheme):
         header = "x,y,t,is_data,weight"
-        blocks = [(scheme.is_data.tolist(), scheme.weights.tolist(), "")]
+        blocks = [(scheme.is_data.tolist(), "")]
     else:
         raise TypeError(f"not a cubature scheme: {type(scheme).__name__}")
     cells = [f"{fmt(x)},{fmt(y)},{fmt(t)}" for x, y, t in scheme.coords.tolist()]
-    rows = [f"{c},{e},{fmt(w)}{label}" for es, ws, label in blocks for c, e, w in zip(cells, es, ws)]
+    weights = [fmt(w) for w in scheme.weights.tolist()]
+    rows = [f"{c},{e},{w}{label}" for es, label in blocks for c, e, w in zip(cells, es, weights)]
     Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 

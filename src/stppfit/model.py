@@ -4,10 +4,13 @@ A model is a list of covariate terms entering a log-linear intensity.
 Fitting builds a cubature scheme over the observation window, assembles
 the design matrix at the cubature points, and hands the weighted Poisson
 regression to the IRLS engine. Multitype patterns are fitted on the
-replicated scheme in a single regression, either with one full
-coefficient set per mark level or with shared terms plus per-level
-intercept contrasts; an optional ridge penalty on the mark-specific
-columns acts as a fixed-effects surrogate for random mark effects.
+replicated scheme in a single regression over the same base design,
+stacked once per level, either with one full coefficient set per mark
+level or with shared terms plus per-level intercept contrasts; an
+optional ridge penalty on the mark-specific columns acts as a
+fixed-effects surrogate for random mark effects. ``_column_names`` is the
+one statement of the coefficient layout (a model's names must equal it),
+and ``FittedModel._coefs`` the one place that resolves a mark argument.
 """
 
 from __future__ import annotations
@@ -79,15 +82,6 @@ class ModelSpec:
         return tuple(t.name for t in self.terms)
 
 
-def _check_external_coverage(terms, window: Window) -> None:
-    for t in terms:
-        if isinstance(t, ExternalCovariate) and not t.grid.window.contains_window(window):
-            raise ValueError(
-                f"external covariate {t.name!r} grid window {t.grid.window} does not "
-                f"cover the scheme window {window}"
-            )
-
-
 def _term_matrix(terms, coords: np.ndarray) -> np.ndarray:
     x, y, t = coords[:, 0], coords[:, 1], coords[:, 2]
     return np.column_stack([term.evaluate(x, y, t) for term in terms])
@@ -95,38 +89,43 @@ def _term_matrix(terms, coords: np.ndarray) -> np.ndarray:
 
 def build_design(scheme: CubatureScheme, spec: ModelSpec) -> DesignMatrix:
     """Design matrix with one row per cubature point and one column per term."""
-    _check_external_coverage(spec.terms, scheme.window)
+    for t in spec.terms:
+        if isinstance(t, ExternalCovariate) and not t.grid.window.contains_window(scheme.window):
+            raise ValueError(
+                f"external covariate {t.name!r} grid window {t.grid.window} does not "
+                f"cover the scheme window {scheme.window}"
+            )
     return DesignMatrix(_term_matrix(spec.terms, scheme.coords), spec.term_names)
 
 
-def _mark_column_name(level: MarkLevel) -> str:
-    return f"mark[{level.label}]"
+def _column_names(spec: ModelSpec, levels) -> tuple[str, ...]:
+    """Coefficient names in coefficient order: the terms (unmarked), every level's
+    terms (``interact_all``), or the shared terms plus one intercept contrast per
+    level after the first."""
+    if not levels:
+        return spec.term_names
+    if spec.multitype_mode.interact_all:
+        return tuple(f"{lv.label}:{name}" for lv in levels for name in spec.term_names)
+    return spec.term_names + tuple(f"mark[{lv.label}]" for lv in levels[1:])
 
 
-def _expand_multitype(base: np.ndarray, term_names, levels, interact_all: bool):
-    """Level-major stacked design for the replicated scheme.
+def _expand_multitype(base: np.ndarray, m: int, interact_all: bool):
+    """Level-major stacked design over ``m`` levels, in the ``_column_names`` order.
 
-    Returns (values, column_names, mark_mask) where mark_mask flags the
-    mark-specific columns (ridge surrogate targets).
+    Returns (values, mark_mask) where mark_mask flags the mark-specific
+    columns (ridge surrogate targets).
     """
-    m = len(levels)
     k, p = base.shape
     if interact_all:
         values = np.zeros((m * k, m * p))
-        names = []
-        for i, lv in enumerate(levels):
+        for i in range(m):
             values[i * k : (i + 1) * k, i * p : (i + 1) * p] = base
-            names.extend(f"{lv.label}:{name}" for name in term_names)
-        mask = (1,) * (m * p)
-    else:
-        values = np.zeros((m * k, p + m - 1))
-        values[:, :p] = np.tile(base, (m, 1))
-        names = list(term_names)
-        for i, lv in enumerate(levels[1:], start=1):
-            values[i * k : (i + 1) * k, p + i - 1] = 1.0
-            names.append(_mark_column_name(lv))
-        mask = (0,) * p + (1,) * (m - 1)
-    return values, tuple(names), mask
+        return values, (1,) * (m * p)
+    values = np.zeros((m * k, p + m - 1))
+    values[:, :p] = np.tile(base, (m, 1))
+    for i in range(1, m):
+        values[i * k : (i + 1) * k, p + i - 1] = 1.0
+    return values, (0,) * p + (1,) * (m - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,18 +146,13 @@ class FittedModel:
         object.__setattr__(self, "column_names", tuple(self.column_names))
         if len(self.column_names) != self.fit.coefficients.size:
             raise ValueError("one column name per fitted coefficient is required")
-        p = len(self.spec.terms)
-        mode = self.spec.multitype_mode
-        if not self.levels:
-            expected = p
-        elif mode is not None and mode.interact_all:
-            expected = len(self.levels) * p
-        else:
-            expected = p + len(self.levels) - 1
-        if len(self.column_names) != expected:
+        if bool(self.levels) != (self.spec.multitype_mode is not None):
+            raise ValueError("a model has mark levels exactly when its spec has a multitype mode")
+        expected = _column_names(self.spec, self.levels)
+        if self.column_names != expected:
             raise ValueError(
-                f"coefficient count {len(self.column_names)} does not match the "
-                f"mark-expansion rule (expected {expected})"
+                f"coefficient names {list(self.column_names)} do not match the model's "
+                f"columns {list(expected)}"
             )
 
     @property
@@ -192,48 +186,41 @@ class FittedModel:
                 return lv
         raise KeyError(f"unknown mark label {mark!r}")
 
-    def _level_slice(self, level: MarkLevel) -> tuple[np.ndarray, float]:
-        """Per-term coefficients and additive offset for one level."""
+    def _coefs(self, mark) -> tuple[np.ndarray, float]:
+        """Per-term coefficients and additive log offset for ``mark``, which is
+        required (a level or label) exactly when the model is marked."""
+        if not self.is_marked:
+            if mark is not None:
+                raise ValueError("this model is unmarked: no mark argument applies")
+            return self.fit.coefficients, 0.0
+        if mark is None:
+            raise ValueError("this model is marked: pass mark=<level or label>")
         p = len(self.spec.terms)
-        pos = self.levels.index(level)
+        pos = self.levels.index(self.level(mark))
         if self.spec.multitype_mode.interact_all:
             return self.fit.coefficients[pos * p : (pos + 1) * p], 0.0
         offset = 0.0 if pos == 0 else float(self.fit.coefficients[p + pos - 1])
         return self.fit.coefficients[:p], offset
 
+    def _inside(self, p: SpaceTimePoint) -> tuple[float, float, float]:
+        if not self.window.contains(*p):
+            raise ValueError(f"point ({p.x}, {p.y}, {p.t}) lies outside the fitted window")
+        return p
+
     def predict_intensity(self, p: SpaceTimePoint, mark=None) -> float:
         """Fitted intensity at a point (a mark is required iff the model is marked)."""
-        if not self.window.contains(*p):
-            raise ValueError(
-                f"point ({p.x}, {p.y}, {p.t}) lies outside the fitted window"
-            )
-        row = _term_matrix(self.spec.terms, np.array([[p.x, p.y, p.t]]))[0]
-        if self.is_marked:
-            if mark is None:
-                raise ValueError("this model is marked: pass mark=<level or label>")
-            coefs, offset = self._level_slice(self.level(mark))
-            return float(np.exp(np.dot(row, coefs) + offset))
-        if mark is not None:
-            raise ValueError("this model is unmarked: no mark argument applies")
-        return float(np.exp(np.dot(row, self.fit.coefficients)))
+        x, y, t = self._inside(p)
+        return float(self.intensity_values([x], [y], [t], mark)[0])
 
     def marginal_intensity(self, p: SpaceTimePoint) -> float:
         """Ground intensity of a marked model: the sum over all mark levels."""
-        if not self.is_marked:
-            raise ValueError("marginal intensity is defined for marked models only")
-        return float(sum(self.predict_intensity(p, mark=lv) for lv in self.levels))
+        x, y, t = self._inside(p)
+        return float(self.marginal_values([x], [y], [t])[0])
 
     def intensity_values(self, x, y, t, mark=None) -> np.ndarray:
         """Vectorized fitted intensity at coordinate arrays (one level if marked)."""
-        tm = _term_matrix(self.spec.terms, np.column_stack([x, y, t]))
-        if not self.is_marked:
-            if mark is not None:
-                raise ValueError("this model is unmarked: no mark argument applies")
-            return np.exp(tm @ self.fit.coefficients)
-        if mark is None:
-            raise ValueError("this model is marked: pass mark=<level or label>")
-        coefs, offset = self._level_slice(self.level(mark))
-        return np.exp(tm @ coefs + offset)
+        coefs, offset = self._coefs(mark)
+        return np.exp(_term_matrix(self.spec.terms, np.column_stack([x, y, t])) @ coefs + offset)
 
     def marginal_values(self, x, y, t) -> np.ndarray:
         """Vectorized ground intensity of a marked model (sum over levels)."""
@@ -251,9 +238,8 @@ class FittedModel:
         """
         res = res if res is not None else self.resolution
         scheme = build_scheme(PointPattern(self.window, ()), res)
-        if self.is_marked:
-            return approximate_integral(scheme, self.marginal_values)
-        return approximate_integral(scheme, self.intensity_values)
+        values = self.marginal_values if self.is_marked else self.intensity_values
+        return approximate_integral(scheme, values)
 
 
 def fit_stpp(
@@ -307,22 +293,18 @@ def fit_multitype(
         raise ValueError("set the mark ridge via ModelSpec.ridge_on_marks only")
 
     scheme = build_replicated_scheme(pattern, res)
-    _check_external_coverage(spec.terms, scheme.window)
-    base = _term_matrix(spec.terms, scheme.coords)
-    values, names, mark_mask = _expand_multitype(
-        base, spec.term_names, scheme.levels, spec.multitype_mode.interact_all
-    )
-    design = DesignMatrix(values, names)
-    y = replicated_responses(scheme).ravel()
-    w = scheme.weights_by_level.ravel()
+    base = build_design(scheme, spec)
+    m = scheme.n_levels
+    values, mark_mask = _expand_multitype(base.values, m, spec.multitype_mode.interact_all)
+    design = DesignMatrix(values, _column_names(spec, scheme.levels))
     if spec.ridge_on_marks > 0:
         irls = replace(irls, ridge=spec.ridge_on_marks, ridge_mask=mark_mask)
-    result = fit_irls(design, y, w, irls)
+    result = fit_irls(design, replicated_responses(scheme).ravel(), np.tile(scheme.weights, m), irls)
     return FittedModel(
         spec=spec,
         window=pattern.window,
         resolution=res,
-        n_data=scheme.n_ground,
+        n_data=scheme.n_data,
         n_dummy=scheme.n_dummy,
         fit=result,
         column_names=design.column_names,

@@ -195,6 +195,25 @@ class MarkLevel:
         object.__setattr__(self, "index", int(self.index))
 
 
+def _validated_marks(marks, n: int, levels: tuple[MarkLevel, ...]) -> np.ndarray:
+    """Check a level set and ``n`` integer codes into it; return the codes as a read-only copy."""
+    if not levels:
+        raise ValueError("a marked pattern needs at least one mark level")
+    labels = [lv.label for lv in levels]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"mark labels must be distinct, got {labels}")
+    if sorted(lv.index for lv in levels) != list(range(1, len(levels) + 1)):
+        raise ValueError("mark indices must be a bijection onto 1..M")
+    codes = np.asarray(marks)
+    if codes.shape != (n,) or (codes.size and codes.dtype.kind not in "iu"):
+        raise ValueError(f"need {n} integer mark codes, got {codes.dtype} of shape {codes.shape}")
+    unknown = (codes < 0) | (codes >= len(levels))
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        raise ValueError(f"point {i} carries unknown mark code {codes[i]} ({len(levels)} levels)")
+    return _readonly(codes.astype(np.intp))
+
+
 def _mark_codes(labels) -> tuple[np.ndarray, tuple[MarkLevel, ...]]:
     """Levels from the sorted unique labels, and each label's 0-based position among them."""
     if not len(labels):
@@ -218,26 +237,11 @@ class MarkedPointPattern:
     levels: tuple[MarkLevel, ...]
 
     def __init__(self, window: Window, xyt=(), marks=(), levels=()):
-        levels = tuple(levels)
-        if not levels:
-            raise ValueError("a marked pattern needs at least one mark level")
-        labels = [lv.label for lv in levels]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"mark labels must be distinct, got {labels}")
-        if sorted(lv.index for lv in levels) != list(range(1, len(levels) + 1)):
-            raise ValueError("mark indices must be a bijection onto 1..M")
         xyt = _validated_xyt(window, xyt, "marked point")
-        codes = np.asarray(marks)
-        if codes.shape != (len(xyt),) or (codes.size and codes.dtype.kind not in "iu"):
-            raise ValueError(f"need {len(xyt)} integer mark codes, got {codes.dtype} of shape {codes.shape}")
-        unknown = (codes < 0) | (codes >= len(levels))
-        if unknown.any():
-            i = int(np.argmax(unknown))
-            raise ValueError(f"point {i} carries unknown mark code {codes[i]} ({len(levels)} levels)")
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "xyt", xyt)
-        object.__setattr__(self, "marks", _readonly(codes.astype(np.intp)))
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "levels", tuple(levels))
+        object.__setattr__(self, "marks", _validated_marks(marks, len(xyt), self.levels))
 
     @classmethod
     def from_labeled(cls, window: Window, labeled_points) -> "MarkedPointPattern":

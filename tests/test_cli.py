@@ -158,6 +158,26 @@ class TestFitCommand:
         model = load_model(workdir / "mcov.json")
         assert model.column_names == ("1", "ndvi")
 
+    def test_repeated_covariate_name_is_usage_error(self, workdir):
+        # the second file does not exist: exit 2 rather than 3 shows no file was read
+        r = run_cli(
+            "fit", "--pattern", "u100.csv", "--window", WINDOW, "--terms", "1,z",
+            "--covariate", "z=cov.csv", "--covariate", "z=missing.csv",
+            "--covariate-grid", "8,8,8", "--grid", "6,6,6", "--out", "dup.json", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert "declared twice" in r.stderr
+        assert not (workdir / "dup.json").exists()
+
+    def test_coordinate_as_covariate_name_is_usage_error(self, workdir):
+        r = run_cli(
+            "fit", "--pattern", "u100.csv", "--window", WINDOW, "--terms", "1,x",
+            "--covariate", "x=missing.csv", "--grid", "6,6,6", "--out", "xcov.json", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert "coordinate" in r.stderr
+        assert not (workdir / "xcov.json").exists()
+
     def test_marked_fit_prints_per_level_blocks(self, workdir):
         r = run_cli(
             "fit", "--pattern", "marked.csv", "--window", WINDOW, "--marked",

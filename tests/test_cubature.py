@@ -11,7 +11,9 @@ from stppfit import (
     CubatureWarning,
     GridResolution,
     MarkedPointPattern,
+    MarkLevel,
     PointPattern,
+    ReplicatedCubatureScheme,
     SpaceTimePoint,
     Window,
     approximate_integral,
@@ -19,6 +21,7 @@ from stppfit import (
     build_scheme,
     cube_index,
     generate_dummy_grid,
+    ground_pattern,
     replicated_responses,
     responses,
 )
@@ -326,8 +329,17 @@ class TestReplicatedScheme:
         pat = marked_pattern(4, 6)
         rep = build_replicated_scheme(pat, GridResolution(3, 3, 3))
         assert rep.coords.shape == (10 + 27, 3)
-        assert rep.n_ground == 10 and rep.n_dummy == 27
+        assert rep.n_data == 10 and rep.n_dummy == 27
         assert rep.n_by_level() == {rep.levels[0]: 4, rep.levels[1]: 6}
+
+    @pytest.mark.parametrize(
+        "marks, message", [([0, 1, 0], "need 2 integer mark codes"), ([0, 2], "unknown mark code 2")]
+    )
+    def test_bad_mark_codes_rejected(self, marks, message):
+        pat = marked_pattern(1, 1)
+        base = build_scheme(ground_pattern(pat), GridResolution(2, 2, 2))
+        with pytest.raises(ValueError, match=message):
+            ReplicatedCubatureScheme(**vars(base), levels=pat.levels, marks=marks)
 
     def test_replicated_responses(self):
         pat = marked_pattern(2, 3)
@@ -436,3 +448,39 @@ class TestSchemeProperties:
                 p[axis] = lo + j * (hi - lo) / n
                 cells[axis] = min(j, n - 1)
                 assert_bins_into(window, res, p, cells)
+
+
+@st.composite
+def marked_patterns(draw):
+    """Marked patterns with 1-4 levels (some possibly empty) on offset windows."""
+    window = draw(offset_windows())
+    m = draw(st.integers(1, 4))
+    fractions = draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)), max_size=30))
+    codes = draw(st.lists(st.integers(0, m - 1), min_size=len(fractions), max_size=len(fractions)))
+    lo, hi = np.array(window.ranges).T
+    xyt = np.clip(lo + np.reshape(fractions, (-1, 3)) * (hi - lo), lo, hi)
+    levels = tuple(MarkLevel(f"L{i}", i + 1) for i in range(m))
+    return MarkedPointPattern(window, xyt, np.array(codes, dtype=np.intp), levels)
+
+
+class TestReplicatedSchemeProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(marked_patterns(), st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
+    def test_replicated_scheme_is_ground_scheme_plus_marks(self, pattern, per_axis):
+        res = GridResolution(*per_axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CubatureWarning)
+            rep = build_replicated_scheme(pattern, res)
+            ground = build_scheme(ground_pattern(pattern), res)
+        assert rep.weights_by_level.shape == (len(pattern.levels), ground.size)
+        for row in rep.weights_by_level:
+            assert row.tobytes() == ground.weights.tobytes()
+        e = rep.is_data_by_level
+        col_sums = e.sum(axis=0)
+        assert np.all(col_sums[: pattern.n] == 1) and np.all(col_sums[pattern.n :] == 0)
+        assert np.all(e[pattern.marks, np.arange(pattern.n)] == 1)
+        # (1 / w) * w is 1 to within two roundings
+        y = replicated_responses(rep)
+        np.testing.assert_allclose(y * rep.weights_by_level, e, rtol=0, atol=2.0**-51)
+        for arr in (rep.weights_by_level, e, rep.marks):
+            assert not arr.flags.writeable

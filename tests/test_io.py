@@ -22,6 +22,7 @@ from stppfit import (
     fit_stpp,
     smooth_to_grid,
 )
+from stppfit.cubature import cell_centers
 from stppfit.io import (
     fmt,
     load_grid,
@@ -185,6 +186,9 @@ class TestGridStorage:
         lines = path.read_text().splitlines()
         assert lines[0] == "cell_id,x_center,y_center,t_center,value"
         assert len(lines) == 1 + 24
+        centers = cell_centers(grid.window, grid.resolution)
+        rows = enumerate(zip(centers, grid.values))
+        assert lines[1:] == [f"{i},{fmt(x)},{fmt(y)},{fmt(t)},{fmt(v)}" for i, ((x, y, t), v) in rows]
 
     def test_schema_version_checked(self, tmp_path):
         grid = self.make_grid()
@@ -275,6 +279,21 @@ class TestModelJson:
         d["schema_version"] = 7
         (tmp_path / "model.json").write_text(json.dumps(d))
         with pytest.raises(ValueError, match="schema"):
+            load_model(tmp_path / "model.json")
+
+
+    @pytest.mark.parametrize("rename", [{"x": "t", "t": "x"}, {"1": "zzz"}])
+    def test_mislabelled_coefficients_rejected(self, tmp_path, rename):
+        spec = ModelSpec((Intercept(), CoordinateMonomial(1, 0, 0), CoordinateMonomial(0, 0, 1)))
+        model = fit_stpp(random_pattern(60, seed=13), spec, GridResolution(6, 6, 6))
+        save_model(model, tmp_path / "model.json")
+        import json
+
+        d = json.loads((tmp_path / "model.json").read_text())
+        for c in d["coefficients"]:
+            c["name"] = rename.get(c["name"], c["name"])
+        (tmp_path / "model.json").write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=re.escape("columns ['1', 'x', 't']")):
             load_model(tmp_path / "model.json")
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stppfit import (
     CoordinateMonomial,
@@ -13,6 +15,7 @@ from stppfit import (
     IrlsConfig,
     MarkedPointPattern,
     MarkFixedEffects,
+    MarkLevel,
     ModelSpec,
     PointPattern,
     SimConfig,
@@ -373,6 +376,11 @@ class TestMarkedPrediction:
         p = SpaceTimePoint(0.2, 0.9, 0.6)
         assert model.marginal_intensity(p) == pytest.approx(100.0, abs=1e-6)
 
+    def test_marginal_outside_window_rejected(self):
+        model = self.make_model()
+        with pytest.raises(ValueError, match="outside"):
+            model.marginal_intensity(SpaceTimePoint(0.5, 1.5, 0.5))
+
     def test_missing_mark_rejected(self):
         model = self.make_model()
         with pytest.raises(ValueError, match="marked"):
@@ -408,3 +416,32 @@ class TestSeparabilityHomogeneous:
             assert model.fit.coefficients[i] == pytest.approx(
                 math.log(sub.n), abs=1e-8
             )
+
+
+class TestSeparabilityProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+        st.tuples(*(st.floats(-5.0, 5.0) for _ in range(3))),
+        st.tuples(*(st.floats(0.5, 5.0) for _ in range(3))),
+    )
+    def test_joint_fit_matches_per_level_fits_on_shared_base(self, m, seed, lo, length):
+        # c07's claim on random offset windows: the interact_all likelihood is a
+        # sum of per-level blocks over one shared base design
+        window = Window(*((a, a + n) for a, n in zip(lo, length)))
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(15, 40, size=m)
+        lo_, hi_ = np.array(window.ranges).T
+        xyt = lo_ + rng.random((counts.sum(), 3)) * (hi_ - lo_)
+        levels = tuple(MarkLevel(f"L{i}", i + 1) for i in range(m))
+        pattern = MarkedPointPattern(window, xyt, np.repeat(np.arange(m), counts), levels)
+        terms = (Intercept(), CoordinateMonomial(1, 0, 0))
+        res = GridResolution(6, 6, 6)
+        joint = fit_multitype(pattern, ModelSpec(terms, multitype_mode=MarkFixedEffects(True)), res)
+        rep = build_replicated_scheme(pattern, res)
+        base = build_design(rep, ModelSpec(terms))
+        y = replicated_responses(rep)
+        for i in range(m):
+            block = fit_irls(base, y[i], rep.weights_by_level[i])
+            assert np.abs(joint.fit.coefficients[2 * i : 2 * i + 2] - block.coefficients).max() <= 1e-6
