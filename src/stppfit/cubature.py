@@ -81,6 +81,10 @@ class GridResolution:
     def cell_volume(self, window: Window) -> float:
         return window.volume() / self.n_cells
 
+    def __str__(self) -> str:
+        """The ``nx,ny,nt`` form the CLI's grid options take."""
+        return f"{self.nx},{self.ny},{self.nt}"
+
 
 DEFAULT_RESOLUTION = GridResolution(10, 10, 10)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .covariates import CoordinateMonomial, CovariateFunction, ExternalCovariate, Intercept
 
-__all__ = ["LogLinearExpression", "parse_log_linear", "parse_term_list"]
+__all__ = ["LogLinearExpression", "covariate_names", "parse_log_linear", "parse_term_list"]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -31,6 +31,11 @@ _TOKEN_RE = re.compile(
 )
 
 _VARS = {"x": 0, "y": 1, "t": 2}
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def _is_covariate_name(tok: str) -> bool:
+    return _NAME_RE.fullmatch(tok) is not None and tok not in _VARS
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -158,6 +163,11 @@ def parse_log_linear(text: str) -> LogLinearExpression:
     return LogLinearExpression(tuple(coefs.items()))
 
 
+def covariate_names(text: str) -> set[str]:
+    """Names a term list gives external covariates: its identifiers other than x, y, t."""
+    return {tok.strip() for tok in text.split(",") if _is_covariate_name(tok.strip())}
+
+
 def parse_term_list(
     text: str, externals: Mapping[str, ExternalCovariate] | None = None
 ) -> tuple[CovariateFunction, ...]:
@@ -171,7 +181,7 @@ def parse_term_list(
         if tok == "1":
             terms.append(Intercept())
             continue
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok) and tok not in _VARS:
+        if _is_covariate_name(tok):
             if tok not in externals:
                 raise ValueError(
                     f"unknown term {tok!r}: not a coordinate monomial and no such "

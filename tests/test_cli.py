@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,14 +15,31 @@ from stppfit import (
     PointPattern,
     SpaceTimePoint,
     Window,
+    cli,
 )
 from stppfit.io import load_model, write_covariate_samples, write_pattern_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 UNIT = Window.unit_cube()
 
 
 def run_cli(*args, cwd):
+    """Run ``stppfit`` in process from ``cwd``; the result has subprocess.run's shape."""
+    argv = [str(a) for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        pytest.MonkeyPatch.context() as mp,
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        mp.chdir(cwd)
+        code = cli.main(argv)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args, cwd):
+    """Run ``python -m stppfit`` in a subprocess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -44,6 +63,8 @@ def workdir(tmp_path_factory):
         CovariateSample(SpaceTimePoint(*rng.random(3)), float(rng.normal())) for _ in range(10)
     ]
     write_covariate_samples(samples, d / "cov.csv")
+    dense = np.random.default_rng(101).random((3, 1000))
+    write_pattern_csv(PointPattern.from_arrays(UNIT, *dense), d / "u1000.csv")
     return d
 
 
@@ -72,6 +93,17 @@ class TestSimulateCommand:
         run_cli(*args, "--out", "rep1.csv", cwd=workdir)
         run_cli(*args, "--out", "rep2.csv", cwd=workdir)
         assert (workdir / "rep1.csv").read_bytes() == (workdir / "rep2.csv").read_bytes()
+
+    def test_module_entry_point_matches_in_process_run(self, workdir):
+        args = (
+            "simulate", "--window", WINDOW, "--log-intensity", "3 + 0.5*y",
+            "--lambda-max", "34", "--seed", "5",
+        )
+        sub = run_module(*args, "--out", "entry_sub.csv", cwd=workdir)
+        inproc = run_cli(*args, "--out", "entry_in.csv", cwd=workdir)
+        assert sub.returncode == inproc.returncode == 0, sub.stderr
+        assert sub.stdout.replace("entry_sub", "entry_in") == inproc.stdout
+        assert (workdir / "entry_sub.csv").read_bytes() == (workdir / "entry_in.csv").read_bytes()
 
     def test_negligible_intensity_gives_header_only(self, workdir):
         r = run_cli(
@@ -222,6 +254,109 @@ class TestFitCommand:
         assert (workdir / "b.json").exists()
         assert not (workdir / "a.json").exists()
 
+    @pytest.mark.parametrize("key, value", [("tolerence", 5), ("seeds", 7)])
+    def test_config_key_that_is_no_fit_option_is_usage_error(self, workdir, key, value):
+        cfg = {"window": WINDOW, "terms": "1", "grid": "5", "out": f"{key}.json", key: value}
+        (workdir / f"{key}_cfg.json").write_text(json.dumps(cfg))
+        r = run_cli("fit", "--config", f"{key}_cfg.json", "--pattern", "u100.csv", cwd=workdir)
+        assert r.returncode == 2
+        assert repr(key) in r.stderr and "stppfit fit" in r.stderr
+        assert not (workdir / f"{key}.json").exists()
+
+    def test_config_with_interact_all_and_shared_terms_is_usage_error(self, workdir):
+        cfg = {"window": WINDOW, "marked": True, "interact_all": True, "shared_terms": True,
+               "grid": "5", "out": "both_modes.json"}
+        (workdir / "modes_cfg.json").write_text(json.dumps(cfg))
+        r = run_cli("fit", "--config", "modes_cfg.json", "--pattern", "marked.csv", cwd=workdir)
+        assert r.returncode == 2
+        assert "conflict" in r.stderr
+        assert not (workdir / "both_modes.json").exists()
+
+    def test_config_values_parse_like_flags(self, workdir):
+        cfg = {"window": [0, 1, 0, 1, 0, 1], "terms": "1", "grid": 5, "max_iterations": 50,
+               "tolerance": 1e-10, "out": "native.json"}
+        (workdir / "native_cfg.json").write_text(json.dumps(cfg))
+        r = run_cli("fit", "--config", "native_cfg.json", "--pattern", "u100.csv", cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        flags = run_cli(
+            "fit", "--pattern", "u100.csv", "--window", WINDOW, "--grid", "5,5,5",
+            "--max-iterations", "50", "--out", "native_flags.json", cwd=workdir,
+        )
+        assert flags.stdout == r.stdout
+        assert (workdir / "native.json").read_bytes() == (workdir / "native_flags.json").read_bytes()
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iterations", 50.5), ("grid", 6.5), ("tolerance", True), ("marked", "false"), ("verbose", "no"),
+    ])
+    def test_config_value_its_flag_would_reject_is_usage_error(self, workdir, key, value):
+        cfg = {"window": WINDOW, "out": f"lossy_{key}.json", key: value}
+        (workdir / f"lossy_{key}_cfg.json").write_text(json.dumps(cfg))
+        r = run_cli("fit", "--config", f"lossy_{key}_cfg.json", "--pattern", "u100.csv", cwd=workdir)
+        assert r.returncode == 2
+        assert f"argument --{key.replace('_', '-')}" in r.stderr
+        assert not (workdir / f"lossy_{key}.json").exists()
+
+    def test_bad_config_value_reports_its_flag(self, workdir):
+        cfg = {"window": "0,1", "out": "badwin.json"}
+        (workdir / "badwin_cfg.json").write_text(json.dumps(cfg))
+        r = run_cli("fit", "--config", "badwin_cfg.json", "--pattern", "u100.csv", cwd=workdir)
+        assert r.returncode == 2
+        assert "argument --window: needs 6 comma-separated numbers" in r.stderr
+        assert not (workdir / "badwin.json").exists()
+
+    def test_covariate_flag_replaces_config_list(self, workdir):
+        cfg = {"window": WINDOW, "terms": "1,ndvi", "covariate": ["ndvi=missing.csv"],
+               "covariate_grid": "8,8,8", "grid": "6", "out": "cov_cfg.json"}
+        (workdir / "cov_cfg_in.json").write_text(json.dumps(cfg))
+        r = run_cli(
+            "fit", "--config", "cov_cfg_in.json", "--pattern", "u100.csv",
+            "--covariate", "ndvi=cov.csv", cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        assert load_model(workdir / "cov_cfg.json").column_names == ("1", "ndvi")
+
+    @pytest.mark.parametrize("decl", ["1=cov.csv", "x*t=cov.csv", "z=cov.csv"])
+    def test_covariate_the_terms_cannot_use_is_usage_error(self, workdir, decl):
+        r = run_cli(
+            "fit", "--pattern", "u100.csv", "--window", WINDOW, "--terms", "1,x,x*t",
+            "--covariate", decl, "--covariate-grid", "8,8,8", "--grid", "6,6,6",
+            "--out", "unused.json", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert repr(decl.partition("=")[0]) in r.stderr and "not a covariate" in r.stderr
+        assert not (workdir / "unused.json").exists()
+
+    def test_covariate_declarations_are_checked_before_any_file_is_read(self, workdir):
+        # the first file does not exist: exit 2 rather than 3 shows it was not read
+        r = run_cli(
+            "fit", "--pattern", "u100.csv", "--window", WINDOW, "--terms", "1,ndvi",
+            "--covariate", "ndvi=missing.csv", "--covariate", "z=cov.csv",
+            "--grid", "6,6,6", "--out", "unread.json", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert "'z'" in r.stderr
+
+    def test_cubature_warning_is_one_stderr_line(self, workdir):
+        # a subprocess, so that Python's own warning filters and output apply
+        r = run_module(
+            "fit", "--pattern", "u1000.csv", "--window", WINDOW, "--grid", "5",
+            "--out", "coarse.json", cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == (
+            "warning: only 125 dummy points for 1000 data points; "
+            "refine the grid so that dummies outnumber the data\n"
+        )
+        assert ".py:" not in r.stderr
+
+    def test_help_shows_library_defaults(self, workdir):
+        r = run_cli("fit", "--help", cwd=workdir)
+        assert r.returncode == 0
+        text = " ".join(r.stdout.split())
+        for default in ("(default 10,10,10)", "(default 64,64,64)", "(default 100)", "(default 1e-10)",
+                        "(default 2.0)", "(default 0.0)"):
+            assert default in text
+
 
 @pytest.fixture(scope="module")
 def fitted(workdir):
@@ -356,6 +491,44 @@ class TestConvergenceStudyCommand:
         )
         assert r.returncode == 0, r.stderr
         assert len((workdir / "scalars.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("use_config", [False, True])
+    def test_error_rows_and_empty_rung_match_golden_bytes(self, workdir, use_config):
+        # seeds 1 and 4 simulate no points, seeds 2 and 6 hit a singular Fisher
+        # information at rung 2, so rung 2 has no successful cell
+        out = f"golden_{use_config}.csv"
+        if use_config:
+            cfg = {"window": [0, 1, 0, 1, 0, 1], "log_intensity": "-0.5 + 0.3*x", "lambda_max": 0.9,
+                   "seeds": [6, 4, 2, 1], "resolutions": [2, 3], "out": out}
+            (workdir / "golden.json").write_text(json.dumps(cfg))
+            r = run_cli("convergence-study", "--config", "golden.json", cwd=workdir)
+        else:
+            r = run_cli(
+                "convergence-study", "--window", WINDOW, "--log-intensity", "-0.5 + 0.3*x",
+                "--lambda-max", "0.9", "--seeds", "1,2,4,6", "--resolutions", "2,3",
+                "--out", out, cwd=workdir,
+            )
+        assert r.returncode == 0, r.stderr
+        summary = (FIXTURES / "convergence_errors_summary.csv").read_bytes()
+        assert (workdir / out).read_bytes() == (FIXTURES / "convergence_errors.csv").read_bytes()
+        assert (workdir / out.replace(".csv", "_summary.csv")).read_bytes() == summary
+        assert r.stdout.encode() == summary
+
+    def test_repeated_warning_prints_once(self, workdir):
+        # one dummy point per cell: seeds 2, 3 and 6 each simulate one point, and
+        # seeds 1, 5 and 7 two, so the same warning is raised more than once; a
+        # subprocess, so that Python's default warning filter applies
+        r = run_module(
+            "convergence-study", "--window", WINDOW, "--log-intensity", "0.5",
+            "--lambda-max", "1.7", "--seeds", "1,2,3,4,5,6,7,8", "--resolutions", "1",
+            "--out", "once.csv", cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.splitlines() == [
+            f"warning: only 1 dummy points for {n} data points; "
+            "refine the grid so that dummies outnumber the data"
+            for n in (2, 1, 3)
+        ]
 
     def test_usage_without_subcommand(self, workdir):
         r = run_cli(cwd=workdir)
