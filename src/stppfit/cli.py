@@ -414,7 +414,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--interact-all", action="store_true",
                    help="one full coefficient set per level (the default)")
     p.add_argument("--ridge-marks", type=float, default=ModelSpec.ridge_on_marks,
-                   help="ridge penalty on mark-specific columns (default %(default)s)")
+                   help="ridge penalty shrinking the mark contrasts of a --shared-terms fit "
+                        "toward the first level (default %(default)s)")
     p.add_argument("--max-iterations", type=int, default=irls.max_iterations,
                    help="IRLS iteration cap (default %(default)s)")
     p.add_argument("--tolerance", type=float, default=irls.tolerance,

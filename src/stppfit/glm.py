@@ -1,12 +1,12 @@
 """Weighted Poisson regression by iteratively reweighted least squares.
 
 Maximizes sum_k w_k (y_k * eta_k - exp(eta_k)) + sum_k w_k with
-eta = X theta (log link), optionally minus a ridge penalty
-(lambda_r / 2) * theta' M theta on a masked subset of coefficients.
-Fisher scoring with step halving keeps the (penalized) deviance
-non-increasing; the fit stops once the relative deviance change falls
-below the tolerance and the score equations hold to 1e-8 of the total
-weight.
+eta = X theta (log link), minus an optional ridge penalty
+(1/2) * sum_j pen_j * theta_j^2 with one nonnegative strength per
+coefficient. Fisher scoring with step halving keeps the (penalized)
+deviance non-increasing; the fit stops once the relative deviance change
+falls below the tolerance and the score equations hold to 1e-8 of the
+total weight.
 
 One kernel per formula: ``_score_fisher`` (score and Fisher matrix),
 ``_loglik`` and the ``_overflows`` range check serve the public helpers,
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -89,17 +88,14 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class IrlsConfig:
-    """Solver knobs: iteration cap, stopping tolerance, optional ridge.
+    """Iteration control: iteration cap and stopping tolerance.
 
     ``tolerance`` applies to the relative change of the (penalized)
-    deviance between iterations. ``ridge_mask`` selects the penalized
-    coefficients; None penalizes every coefficient when ``ridge > 0``.
+    deviance between iterations.
     """
 
     max_iterations: int = 100
     tolerance: float = 1e-10
-    ridge: float = 0.0
-    ridge_mask: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
@@ -107,23 +103,6 @@ class IrlsConfig:
         object.__setattr__(self, "max_iterations", int(self.max_iterations))
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if not (math.isfinite(self.ridge) and self.ridge >= 0):
-            raise ValueError(f"ridge must be nonnegative, got {self.ridge!r}")
-        if self.ridge_mask is not None:
-            mask = tuple(int(v) for v in self.ridge_mask)
-            if any(v not in (0, 1) for v in mask):
-                raise ValueError("ridge_mask entries must be 0 or 1")
-            object.__setattr__(self, "ridge_mask", mask)
-
-    def penalty_vector(self, p: int) -> np.ndarray:
-        """Per-coefficient ridge strengths of length p."""
-        if self.ridge == 0.0:
-            return np.zeros(p)
-        if self.ridge_mask is None:
-            return np.full(p, self.ridge)
-        if len(self.ridge_mask) != p:
-            raise ValueError(f"ridge_mask has length {len(self.ridge_mask)}, expected {p}")
-        return self.ridge * np.asarray(self.ridge_mask, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +135,9 @@ class FitResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-def _validated(X: DesignMatrix, y, w, theta=None):
-    """y, w and theta (None if not given) as float vectors, checked against X."""
+def _validated(X: DesignMatrix, y, w, theta=None, penalty=None):
+    """y, w, theta (None if not given) and the per-coefficient ridge penalty
+    (zeros if not given) as float vectors, checked against X."""
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
     if y.size != X.n_rows or w.size != X.n_rows:
@@ -172,7 +152,12 @@ def _validated(X: DesignMatrix, y, w, theta=None):
         theta = np.asarray(theta, dtype=float).ravel()
         if theta.size != X.n_cols:
             raise ValueError(f"theta has length {theta.size}, expected {X.n_cols}")
-    return y, w, theta
+    pen = np.zeros(X.n_cols) if penalty is None else np.asarray(penalty, dtype=float).ravel()
+    if pen.size != X.n_cols:
+        raise ValueError(f"penalty has length {pen.size}, expected {X.n_cols}")
+    if not np.all(np.isfinite(pen)) or np.any(pen < 0):
+        raise ValueError("penalty entries must be finite and nonnegative")
+    return y, w, theta, pen
 
 
 def _overflows(eta: np.ndarray) -> bool:
@@ -206,22 +191,18 @@ def weighted_poisson_loglik(X: DesignMatrix, y, w, theta) -> float:
     Zero responses contribute w_k (1 - exp(eta_k)); the y*log term is zero
     by convention.
     """
-    y, w, theta = _validated(X, y, w, theta)
+    y, w, theta, _ = _validated(X, y, w, theta)
     eta = _linear_predictor(X, theta)
     return _loglik(y, w, eta, np.exp(eta))
 
 
-def score_and_fisher(
-    X: DesignMatrix, y, w, theta, cfg: IrlsConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def score_and_fisher(X: DesignMatrix, y, w, theta, penalty=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Fisher information of the (ridge-penalized) log-likelihood.
 
-    gradient = X' (w * (y - lambda)) - ridge * theta_masked
-    fisher   = X' diag(w * lambda) X + diag(ridge_mask)
+    gradient = X' (w * (y - lambda)) - penalty * theta
+    fisher   = X' diag(w * lambda) X + diag(penalty)
     """
-    y, w, theta = _validated(X, y, w, theta)
-    cfg = cfg if cfg is not None else IrlsConfig()
-    pen = cfg.penalty_vector(X.n_cols)
+    y, w, theta, pen = _validated(X, y, w, theta, penalty)
     return _score_fisher(X, y, w, theta, np.exp(_linear_predictor(X, theta)), pen)
 
 
@@ -252,20 +233,22 @@ def _check_rank(X: DesignMatrix) -> None:
         )
 
 
-def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None) -> FitResult:
+def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None) -> FitResult:
     """Maximize the weighted Poisson log-likelihood by Fisher scoring.
 
-    The intercept (first all-ones column, if any) starts at
+    ``penalty`` holds one nonnegative ridge strength per coefficient (None:
+    no penalty). The intercept (first all-ones column, if any) starts at
     log(sum(w y) / sum(w)), the remaining coefficients at zero. Steps are
-    halved whenever the penalized deviance would increase, so the deviance
+    halved whenever the penalized deviance would increase or the linear
+    predictor would leave |eta| <= MAX_LINEAR_PREDICTOR, so the deviance
     trace is non-increasing up to roundoff. Raises on rank-deficient
-    designs and on all-zero responses (the maximum does not exist);
+    designs, on all-zero responses, and when the last step still ran into
+    that bound (in each of the latter two the maximum does not exist);
     reaching the iteration cap returns a result with ``converged=False``.
     """
     cfg = cfg if cfg is not None else IrlsConfig()
-    y, w, _ = _validated(X, y, w)
+    y, w, _, pen = _validated(X, y, w, penalty=penalty)
     _check_rank(X)
-    pen = cfg.penalty_vector(X.n_cols)
     sw = float(w.sum())
     swy = float(np.dot(w, y))
     if swy <= 0.0:
@@ -293,21 +276,23 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None) -> FitResult:
     # refreshes both once, so the covariance inverts the Fisher matrix at the end
     grad, fisher = _score_fisher(X, y, w, theta, lam, pen)
     grad_tol = GRADIENT_RTOL * sw
-    iterations = 0
+    iterations, at_guard = 0, False
     for iterations in range(1, cfg.max_iterations + 1):
         try:
             delta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), grad)
         except scipy.linalg.LinAlgError as exc:
             raise FitError(
                 f"Fisher information became singular at iteration {iterations}; "
-                f"deviance trace: {trace}"
+                f"last deviance {trace[-1]:.10g}"
             ) from exc
 
-        step = 1.0
+        step, at_guard = 1.0, False
         for _ in range(40):
             cand = theta + step * delta
             cand_eta = X.values @ cand
-            if not _overflows(cand_eta):
+            if _overflows(cand_eta):
+                at_guard = True
+            else:
                 cand_lam = np.exp(cand_eta)
                 cand_dev, cand_pdev = deviances(cand_lam, cand)
                 if math.isfinite(cand_pdev) and cand_pdev <= pdev + 1e-12 * max(1.0, abs(pdev)):
@@ -324,6 +309,13 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None) -> FitResult:
         grad, fisher = _score_fisher(X, y, w, theta, lam, pen)
         if rel_change <= cfg.tolerance and float(np.abs(grad).max()) <= grad_tol:
             break
+
+    if at_guard:
+        raise FitError(
+            f"the maximum-likelihood estimate does not exist: after {iterations} iterations "
+            f"the linear predictor still runs into its bound |eta| <= {MAX_LINEAR_PREDICTOR:g} "
+            "(the data separate from the dummy points)"
+        )
 
     try:
         cov = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), np.eye(X.n_cols))

@@ -6,17 +6,17 @@ the design matrix at the cubature points, and hands the weighted Poisson
 regression to the IRLS engine. Multitype patterns are fitted on the
 replicated scheme in a single regression over the same base design,
 stacked once per level, either with one full coefficient set per mark
-level or with shared terms plus per-level intercept contrasts; an
-optional ridge penalty on the mark-specific columns acts as a
-fixed-effects surrogate for random mark effects. ``_column_names`` is the
-one statement of the coefficient layout (a model's names must equal it),
-and ``FittedModel._coefs`` the one place that resolves a mark argument.
+level or with shared terms plus per-level intercept contrasts, which an
+optional ridge shrinks toward the first level (a fixed-effects surrogate
+for random mark effects). ``_column_names`` is the one statement of the
+coefficient layout (a model's names must equal it), and
+``FittedModel._coefs`` the one place that resolves a mark argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,7 +60,11 @@ class MarkFixedEffects:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative log-linear intensity: exp(theta . terms)."""
+    """Declarative log-linear intensity: exp(theta . terms).
+
+    ``ridge_on_marks`` shrinks the ``mark[<level>]`` contrasts of a
+    shared-terms multitype model toward the first level.
+    """
 
     terms: tuple[CovariateFunction, ...]
     multitype_mode: Optional[MarkFixedEffects] = None
@@ -74,8 +78,9 @@ class ModelSpec:
             raise ValueError("at most one intercept term is allowed")
         if not (math.isfinite(self.ridge_on_marks) and self.ridge_on_marks >= 0):
             raise ValueError(f"ridge_on_marks must be nonnegative, got {self.ridge_on_marks!r}")
-        if self.ridge_on_marks > 0 and self.multitype_mode is None:
-            raise ValueError("ridge_on_marks requires a multitype mode")
+        if self.ridge_on_marks > 0 and self.multitype_mode != MarkFixedEffects(interact_all=False):
+            raise ValueError("ridge_on_marks needs the shared-terms multitype mode "
+                             "MarkFixedEffects(interact_all=False)")
 
     @property
     def term_names(self) -> tuple[str, ...]:
@@ -109,23 +114,19 @@ def _column_names(spec: ModelSpec, levels) -> tuple[str, ...]:
     return spec.term_names + tuple(f"mark[{lv.label}]" for lv in levels[1:])
 
 
-def _expand_multitype(base: np.ndarray, m: int, interact_all: bool):
-    """Level-major stacked design over ``m`` levels, in the ``_column_names`` order.
-
-    Returns (values, mark_mask) where mark_mask flags the mark-specific
-    columns (ridge surrogate targets).
-    """
+def _expand_multitype(base: np.ndarray, m: int, interact_all: bool) -> np.ndarray:
+    """Level-major stacked design over ``m`` levels, in the ``_column_names`` order."""
     k, p = base.shape
     if interact_all:
         values = np.zeros((m * k, m * p))
         for i in range(m):
             values[i * k : (i + 1) * k, i * p : (i + 1) * p] = base
-        return values, (1,) * (m * p)
+        return values
     values = np.zeros((m * k, p + m - 1))
     values[:, :p] = np.tile(base, (m, 1))
     for i in range(1, m):
         values[i * k : (i + 1) * k, p + i - 1] = 1.0
-    return values, (0,) * p + (1,) * (m - 1)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,6 +252,8 @@ def fit_stpp(
     """Fit an unmarked log-linear intensity model by cubature plus IRLS."""
     if spec.multitype_mode is not None:
         raise ValueError("spec declares a multitype mode: use fit_multitype")
+    if isinstance(pattern, MarkedPointPattern):
+        raise ValueError("pattern is marked: use fit_multitype")
     if pattern.n == 0:
         raise ValueError("no points: an empty pattern has no finite intensity estimate")
     scheme = build_scheme(pattern, res)
@@ -280,6 +283,8 @@ def fit_multitype(
     """
     if spec.multitype_mode is None:
         raise ValueError("spec has no multitype mode: use fit_stpp")
+    if not isinstance(pattern, MarkedPointPattern):
+        raise ValueError("pattern has no marks: use fit_stpp")
     if len(pattern.levels) < 2:
         raise ValueError("single mark level: fit the ground pattern with fit_stpp")
     empty = [lv.label for lv, c in pattern.counts_by_level().items() if c == 0]
@@ -288,18 +293,15 @@ def fit_multitype(
             f"mark level(s) {empty} have no points; their intensity estimate "
             "does not exist, drop them or merge levels"
         )
-    irls = irls if irls is not None else IrlsConfig()
-    if spec.ridge_on_marks > 0 and irls.ridge != 0:
-        raise ValueError("set the mark ridge via ModelSpec.ridge_on_marks only")
-
     scheme = build_replicated_scheme(pattern, res)
     base = build_design(scheme, spec)
     m = scheme.n_levels
-    values, mark_mask = _expand_multitype(base.values, m, spec.multitype_mode.interact_all)
-    design = DesignMatrix(values, _column_names(spec, scheme.levels))
-    if spec.ridge_on_marks > 0:
-        irls = replace(irls, ridge=spec.ridge_on_marks, ridge_mask=mark_mask)
-    result = fit_irls(design, replicated_responses(scheme).ravel(), np.tile(scheme.weights, m), irls)
+    interact_all = spec.multitype_mode.interact_all
+    design = DesignMatrix(_expand_multitype(base.values, m, interact_all), _column_names(spec, scheme.levels))
+    # the ridge acts on the m - 1 mark contrasts that follow the shared terms
+    penalty = None if interact_all else np.r_[np.zeros(base.n_cols), np.full(m - 1, spec.ridge_on_marks)]
+    y = replicated_responses(scheme).ravel()
+    result = fit_irls(design, y, np.tile(scheme.weights, m), irls, penalty)
     return FittedModel(
         spec=spec,
         window=pattern.window,

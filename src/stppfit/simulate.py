@@ -1,11 +1,11 @@
 """Poisson point-pattern simulation on a space-time window.
 
-Homogeneous patterns draw a Poisson count and place it uniformly;
-inhomogeneous patterns thin a dominating homogeneous pattern, keeping
-each candidate with probability intensity / lambda_max. The generator is
-a named, counter-based PRNG (numpy Philox) so identical seeds reproduce
-byte-identical patterns across platforms; the identifier travels with
-simulation metadata.
+Inhomogeneous patterns thin a dominating homogeneous pattern, keeping
+each candidate with probability intensity / lambda_max; a homogeneous
+pattern is the thinning of a constant intensity at its own bound, which
+keeps every candidate. The generator is a named, counter-based PRNG
+(numpy Philox) so identical seeds reproduce byte-identical patterns
+across platforms; the identifier travels with simulation metadata.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ def _uniform_coords(rng: np.random.Generator, window: Window, n: int) -> np.ndar
 
 
 def simulate_homogeneous(window: Window, rate: float, cfg: SimConfig) -> PointPattern:
-    """Homogeneous Poisson pattern: Poisson(rate * volume) uniform points."""
+    """Homogeneous Poisson pattern: thinning at the constant intensity ``rate``
+    with ``lambda_max=rate``, which keeps every candidate (``cfg.lambda_max`` is unused)."""
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"rate must be positive, got {rate!r}")
-    rng = _generator(cfg.seed)
-    n = int(rng.poisson(rate * window.volume()))
-    coords = _uniform_coords(rng, window, n)
-    return PointPattern.from_arrays(window, coords[:, 0], coords[:, 1], coords[:, 2])
+    return simulate_inhomogeneous(
+        window, lambda x, y, t: np.full(x.shape, float(rate)), SimConfig(cfg.seed, rate)
+    )
 
 
 def simulate_inhomogeneous(

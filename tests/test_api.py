@@ -1,4 +1,7 @@
-"""The public surface: exported names and the SpaceTimePoint-based edges."""
+"""The public surface: exported names, the SpaceTimePoint-based edges and README's code."""
+
+import re
+from pathlib import Path
 
 import stppfit
 from stppfit import (
@@ -12,6 +15,17 @@ from stppfit import (
     cube_index,
     generate_dummy_grid,
 )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run_in_order():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) >= 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 def test_every_exported_name_resolves():

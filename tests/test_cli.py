@@ -220,6 +220,17 @@ class TestFitCommand:
         assert any(ln.startswith("A:1") for ln in r.stdout.splitlines())
         assert any(ln.startswith("B:1") for ln in r.stdout.splitlines())
 
+    @pytest.mark.parametrize("mode", [[], ["--interact-all"]])
+    def test_mark_ridge_without_shared_terms_is_usage_error(self, workdir, mode):
+        r = run_cli(
+            "fit", "--pattern", "marked.csv", "--window", WINDOW, "--marked", *mode,
+            "--ridge-marks", "0.5", "--terms", "1,x", "--grid", "6,6,6", "--out", "ridge.json",
+            cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert "interact_all=False" in r.stderr
+        assert not (workdir / "ridge.json").exists()
+
     def test_non_convergence_exits_4_with_partial_output(self, workdir):
         r = run_cli(
             "fit", "--pattern", "u100.csv", "--window", WINDOW, "--terms", "1,x,y",
@@ -494,8 +505,11 @@ class TestConvergenceStudyCommand:
 
     @pytest.mark.parametrize("use_config", [False, True])
     def test_error_rows_and_empty_rung_match_golden_bytes(self, workdir, use_config):
-        # seeds 1 and 4 simulate no points, seeds 2 and 6 hit a singular Fisher
-        # information at rung 2, so rung 2 has no successful cell
+        # seeds 1 and 4 simulate no points; seeds 2 and 6 simulate one point,
+        # whose fits have no maximum-likelihood estimate: at rung 2 (and seed 6
+        # at rung 3) the Fisher information becomes singular first, and seed 2
+        # at rung 3 runs into the linear-predictor bound. No rung has a
+        # successful cell
         out = f"golden_{use_config}.csv"
         if use_config:
             cfg = {"window": [0, 1, 0, 1, 0, 1], "log_intensity": "-0.5 + 0.3*x", "lambda_max": 0.9,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,9 +122,9 @@ class TestScoreAndFisher:
 
     def test_ridge_gradient_matches_penalized_objective(self):
         X, y, w = cubature_problem(n=50, res=4, seed=5, with_slope=True)
-        cfg = IrlsConfig(ridge=2.5, ridge_mask=(0, 1))
+        pen = np.array([0.0, 2.5])
         theta = np.array([0.7, -0.4])
-        grad, fisher = score_and_fisher(X, y, w, theta, cfg)
+        grad, fisher = score_and_fisher(X, y, w, theta, pen)
 
         def penalized(th):
             return weighted_poisson_loglik(X, y, w, th) - 0.5 * 2.5 * th[1] ** 2
@@ -229,17 +230,16 @@ class TestFitIrls:
         X, y, w = cubature_problem(n=80, res=5, seed=16, with_slope=True)
         norms = []
         for lam in (0.0, 0.1, 1.0, 10.0, 1000.0):
-            cfg = IrlsConfig(ridge=lam, ridge_mask=(0, 1))
-            res = fit_irls(X, y, w, cfg)
+            res = fit_irls(X, y, w, penalty=[0.0, lam])
             norms.append(abs(res.coefficients[1]))
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-12
 
     def test_ridge_score_equation_holds(self):
         X, y, w = cubature_problem(n=80, res=5, seed=17, with_slope=True)
-        cfg = IrlsConfig(ridge=3.0, ridge_mask=(0, 1))
-        res = fit_irls(X, y, w, cfg)
-        grad, _ = score_and_fisher(X, y, w, res.coefficients, cfg)
+        pen = np.array([0.0, 3.0])
+        res = fit_irls(X, y, w, penalty=pen)
+        grad, _ = score_and_fisher(X, y, w, res.coefficients, pen)
         assert np.abs(grad).max() <= 1e-8 * w.sum()
 
 
@@ -259,15 +259,15 @@ class TestFitIrlsProperties:
         y = np.where(rng.random(rows) < 0.3, 0.0, rng.gamma(2.0, 2.0, size=rows))
         y[:p] += 1.0
         w = rng.uniform(0.05, 2.0, size=rows)
-        cfg = IrlsConfig(
-            max_iterations=max_iterations,
-            ridge=float(rng.uniform(0.1, 5.0)) if ridge else 0.0,
-            ridge_mask=tuple(int(v) for v in rng.integers(0, 2, size=p)) if ridge else None,
+        pen = (
+            float(rng.uniform(0.1, 5.0)) * rng.integers(0, 2, size=p).astype(float)
+            if ridge
+            else None
         )
-        res = fit_irls(X, y, w, cfg)
+        res = fit_irls(X, y, w, IrlsConfig(max_iterations=max_iterations), pen)
         assert res.deviance == res.deviance_trace[-1]
         assert res.log_likelihood_approx == weighted_poisson_loglik(X, y, w, res.coefficients)
-        grad, _ = score_and_fisher(X, y, w, res.coefficients, cfg)
+        grad, _ = score_and_fisher(X, y, w, res.coefficients, pen)
         assert res.converged == (float(np.abs(grad).max()) <= 1e-8 * w.sum())
 
 
@@ -301,16 +301,28 @@ class TestValidation:
         [
             {"max_iterations": 0},
             {"tolerance": 0.0},
-            {"ridge": -1.0},
-            {"ridge_mask": (0, 2)},
         ],
     )
     def test_irls_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             IrlsConfig(**kwargs)
 
-    def test_mask_length_checked_at_use(self):
-        cfg = IrlsConfig(ridge=1.0, ridge_mask=(1,))
+    def test_irls_config_holds_only_iteration_control(self):
+        assert [f.name for f in dataclasses.fields(IrlsConfig)] == ["max_iterations", "tolerance"]
+
+    @pytest.mark.parametrize(
+        "penalty, message",
+        [
+            ([0.0, -1.0], "nonnegative"),
+            ([0.0, np.inf], "finite"),
+            ([0.0, np.nan], "finite"),
+            ([1.0], "penalty has length 1, expected 2"),
+        ],
+        ids=["negative", "infinite", "nan", "wrong-length"],
+    )
+    def test_penalty_checked_at_use(self, penalty, message):
         X = DesignMatrix(np.column_stack([np.ones(5), np.arange(5.0)]), ("1", "x"))
-        with pytest.raises(ValueError, match="ridge_mask"):
-            fit_irls(X, np.ones(5), np.ones(5), cfg)
+        with pytest.raises(ValueError, match=message):
+            fit_irls(X, np.ones(5), np.ones(5), penalty=penalty)
+        with pytest.raises(ValueError, match=message):
+            score_and_fisher(X, np.ones(5), np.ones(5), [0.0, 0.0], penalty)

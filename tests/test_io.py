@@ -27,6 +27,8 @@ from stppfit.io import (
     fmt,
     load_grid,
     load_model,
+    model_from_dict,
+    model_to_dict,
     read_covariate_samples,
     read_pattern_csv,
     save_grid,
@@ -295,6 +297,17 @@ class TestModelJson:
         (tmp_path / "model.json").write_text(json.dumps(d))
         with pytest.raises(ValueError, match=re.escape("columns ['1', 'x', 't']")):
             load_model(tmp_path / "model.json")
+
+    def test_interact_all_model_with_mark_ridge_rejected(self):
+        # the mark ridge acts on shared-terms contrasts only, so an interact_all
+        # file that stores one fails to load with the ModelSpec message
+        rng = np.random.default_rng(14)
+        pat = MarkedPointPattern.from_labeled(UNIT, [(SpaceTimePoint(*rng.random(3)), lab) for lab in "AB" * 10])
+        spec = ModelSpec((Intercept(),), multitype_mode=MarkFixedEffects(True))
+        d = model_to_dict(fit_multitype(pat, spec, GridResolution(4, 4, 4)))
+        d["ridge_on_marks"] = 0.5
+        with pytest.raises(ValueError, match="multitype mode"):
+            model_from_dict(d)
 
 
 class TestWindowDict:

@@ -10,6 +10,7 @@ from stppfit import (
     CovariateGrid,
     DesignMatrix,
     ExternalCovariate,
+    FitError,
     GridResolution,
     Intercept,
     IrlsConfig,
@@ -27,6 +28,7 @@ from stppfit import (
     fit_irls,
     fit_multitype,
     fit_stpp,
+    ground_pattern,
     replicated_responses,
     simulate_homogeneous,
     simulate_inhomogeneous,
@@ -64,6 +66,15 @@ class TestModelSpec:
     def test_mark_ridge_requires_multitype_mode(self):
         with pytest.raises(ValueError, match="multitype"):
             ModelSpec((Intercept(),), ridge_on_marks=1.0)
+
+    def test_mark_ridge_requires_shared_terms(self):
+        # under interact_all every column is mark-specific, so a ridge would
+        # shrink each level's intercept toward zero and bias the counts
+        terms = (Intercept(), CoordinateMonomial(1, 0, 0))
+        with pytest.raises(ValueError, match="interact_all=False"):
+            ModelSpec(terms, MarkFixedEffects(True), ridge_on_marks=1.0)
+        assert ModelSpec(terms, MarkFixedEffects(True), ridge_on_marks=0.0).ridge_on_marks == 0.0
+        assert ModelSpec(terms, MarkFixedEffects(False), ridge_on_marks=1.0).ridge_on_marks == 1.0
 
 
 class TestBuildDesign:
@@ -109,6 +120,22 @@ class TestFitStpp:
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError, match="no points"):
             fit_stpp(PointPattern(UNIT), ModelSpec((Intercept(),)), RES8)
+
+    def test_marked_pattern_directed_to_fit_multitype(self):
+        with pytest.raises(ValueError, match="use fit_multitype"):
+            fit_stpp(marked_pattern(5, 5, seed=26), ModelSpec((Intercept(),)), RES8)
+
+    def test_nonexistent_mle_is_an_error(self):
+        # one simulated point against 3^3 dummies (seed 2, rung 3 of the
+        # convergence study of -0.5 + 0.3*x): the likelihood keeps rising as
+        # the x slope grows, so IRLS runs into the linear-predictor bound
+        pattern = simulate_inhomogeneous(
+            UNIT, lambda x, y, t: np.exp(-0.5 + 0.3 * x), SimConfig(seed=2, lambda_max=0.9)
+        )
+        assert pattern.n == 1
+        spec = ModelSpec((Intercept(), CoordinateMonomial(1, 0, 0)))
+        with pytest.raises(FitError, match="maximum-likelihood estimate does not exist"):
+            fit_stpp(pattern, spec, GridResolution(3, 3, 3))
 
     def test_multitype_spec_rejected(self):
         pat = uniform_pattern(10, seed=3)
@@ -334,13 +361,22 @@ class TestFitMultitype:
         with pytest.raises(ValueError, match="fit_stpp"):
             fit_multitype(pat, ModelSpec((Intercept(),)), RES8)
 
-    def test_user_ridge_conflicts_with_mark_ridge(self):
-        pat = marked_pattern(5, 5, seed=24)
-        spec = ModelSpec(
-            (Intercept(),), multitype_mode=MarkFixedEffects(False), ridge_on_marks=1.0
-        )
-        with pytest.raises(ValueError, match="ridge_on_marks"):
-            fit_multitype(pat, spec, RES8, IrlsConfig(ridge=0.5))
+    def test_unmarked_pattern_directed_to_fit_stpp(self):
+        spec = ModelSpec((Intercept(),), multitype_mode=MarkFixedEffects(False))
+        with pytest.raises(ValueError, match="use fit_stpp"):
+            fit_multitype(uniform_pattern(10, seed=24), spec, RES8)
+
+    def test_strong_mark_ridge_leaves_shared_terms_unpenalized(self):
+        # with the contrasts pinned at zero every level has the same intensity,
+        # so the shared terms are the ground fit with the intercept less log(M)
+        pat = marked_pattern(30, 70, seed=27)
+        terms = (Intercept(), CoordinateMonomial(1, 0, 0))
+        spec = ModelSpec(terms, multitype_mode=MarkFixedEffects(False), ridge_on_marks=1e8)
+        model = fit_multitype(pat, spec, RES8)
+        ground = fit_stpp(ground_pattern(pat), ModelSpec(terms), RES8)
+        expected = ground.fit.coefficients - [math.log(2.0), 0.0]
+        np.testing.assert_allclose(model.fit.coefficients[:2], expected, atol=1e-5)
+        assert model.expected_count() == pytest.approx(100.0, rel=1e-3)
 
 
 class TestMarkedPrediction:
