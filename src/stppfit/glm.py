@@ -10,7 +10,12 @@ total weight.
 
 One kernel per formula: ``_score_fisher`` (score and Fisher matrix),
 ``_loglik`` and the ``_overflows`` range check serve the public helpers,
-every IRLS step and the final covariance alike.
+every IRLS step and the final covariance alike. The kernels reach the
+design only through its products ``dot``, ``tdot`` and ``gram``, so the
+same loop fits a dense ``DesignMatrix`` and a ``BlockDiagonalDesign``
+(I_M kron B, the fully mark-interacted multitype design), which keeps one
+K x p base and never forms the (M*K) x (M*p) matrix; the rank check of a
+block design runs once, on that base.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .patterns import _readonly
 
 __all__ = [
     "DesignMatrix",
+    "BlockDiagonalDesign",
     "IrlsConfig",
     "FitResult",
     "FitError",
@@ -53,6 +59,15 @@ class PredictorOverflowError(FitError):
     """A linear predictor is too large for exp() in double precision."""
 
 
+def _checked_names(column_names, n_cols: int) -> tuple[str, ...]:
+    names = tuple(str(c) for c in column_names)
+    if n_cols != len(names):
+        raise ValueError("one column name per design column is required")
+    if len(set(names)) != len(names):
+        raise ValueError(f"column names must be distinct, got {names}")
+    return names
+
+
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """Dense covariate matrix with distinct, named columns."""
@@ -64,13 +79,9 @@ class DesignMatrix:
         vals = _readonly(np.asarray(self.values, dtype=float))
         if vals.ndim != 2:
             raise ValueError(f"design matrix must be 2-D, got shape {vals.shape}")
-        names = tuple(str(c) for c in self.column_names)
-        if vals.shape[1] != len(names):
-            raise ValueError("one column name per design column is required")
+        names = _checked_names(self.column_names, vals.shape[1])
         if len(names) < 1:
             raise ValueError("design matrix needs at least one column")
-        if len(set(names)) != len(names):
-            raise ValueError(f"column names must be distinct, got {names}")
         if not np.all(np.isfinite(vals)):
             r, c = np.argwhere(~np.isfinite(vals))[0]
             raise ValueError(f"non-finite design entry at row {r}, column {names[c]!r}")
@@ -84,6 +95,72 @@ class DesignMatrix:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
+
+    def dot(self, theta: np.ndarray) -> np.ndarray:
+        """X theta."""
+        return self.values @ theta
+
+    def tdot(self, v: np.ndarray) -> np.ndarray:
+        """X' v."""
+        return self.values.T @ v
+
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        """X' diag(v) X."""
+        return (self.values * v[:, None]).T @ self.values
+
+    def ones_column(self) -> int | None:
+        """Index of the first all-ones column, or None."""
+        cols = np.nonzero(np.all(self.values == 1.0, axis=0))[0]
+        return int(cols[0]) if cols.size else None
+
+
+@dataclass(frozen=True, eq=False)
+class BlockDiagonalDesign:
+    """The design I_M kron B: ``levels`` copies of ``base`` on the diagonal.
+
+    Rows and columns are level-major: row m*K + k is base row k of level m,
+    and column m*p + j is base column j of level m. Only the K x p base is
+    stored; ``n_rows`` and ``n_cols`` give the logical (M*K) x (M*p) shape.
+    """
+
+    base: DesignMatrix
+    levels: int
+    column_names: tuple[str, ...]
+
+    def __post_init__(self):
+        if int(self.levels) != self.levels or self.levels < 1:
+            raise ValueError(f"levels must be a positive integer, got {self.levels!r}")
+        object.__setattr__(self, "levels", int(self.levels))
+        object.__setattr__(self, "column_names", _checked_names(self.column_names, self.n_cols))
+
+    @property
+    def n_rows(self) -> int:
+        return self.levels * self.base.n_rows
+
+    @property
+    def n_cols(self) -> int:
+        return self.levels * self.base.n_cols
+
+    def dot(self, theta: np.ndarray) -> np.ndarray:
+        # Theta B' is already level-major; (B Theta')' would need a transposed copy
+        return (theta.reshape(self.levels, self.base.n_cols) @ self.base.values.T).ravel()
+
+    def tdot(self, v: np.ndarray) -> np.ndarray:
+        return (v.reshape(self.levels, self.base.n_rows) @ self.base.values).ravel()
+
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        b, p = self.base.values, self.base.n_cols
+        out = np.zeros((self.n_cols, self.n_cols))
+        for m, vm in enumerate(v.reshape(self.levels, self.base.n_rows)):
+            out[m * p : (m + 1) * p, m * p : (m + 1) * p] = (b * vm[:, None]).T @ b
+        return out
+
+    def ones_column(self) -> int | None:
+        # with two or more levels every column is zero outside its own level
+        return self.base.ones_column() if self.levels == 1 else None
+
+
+Design = DesignMatrix | BlockDiagonalDesign
 
 
 @dataclass(frozen=True)
@@ -135,7 +212,7 @@ class FitResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-def _validated(X: DesignMatrix, y, w, theta=None, penalty=None):
+def _validated(X: Design, y, w, theta=None, penalty=None):
     """y, w, theta (None if not given) and the per-coefficient ridge penalty
     (zeros if not given) as float vectors, checked against X."""
     y = np.asarray(y, dtype=float).ravel()
@@ -164,8 +241,8 @@ def _overflows(eta: np.ndarray) -> bool:
     return eta.size > 0 and float(np.abs(eta).max()) > MAX_LINEAR_PREDICTOR
 
 
-def _linear_predictor(X: DesignMatrix, theta: np.ndarray) -> np.ndarray:
-    eta = X.values @ theta
+def _linear_predictor(X: Design, theta: np.ndarray) -> np.ndarray:
+    eta = X.dot(theta)
     if _overflows(eta):
         k = int(np.argmax(np.abs(eta)))
         raise PredictorOverflowError(
@@ -179,13 +256,13 @@ def _loglik(y: np.ndarray, w: np.ndarray, eta: np.ndarray, lam: np.ndarray) -> f
     return float(np.dot(w * y, eta) - np.dot(w, lam) + w.sum())
 
 
-def _score_fisher(X: DesignMatrix, y, w, theta, lam, pen) -> tuple[np.ndarray, np.ndarray]:
-    grad = X.values.T @ (w * (y - lam)) - pen * theta
-    fisher = (X.values * (w * lam)[:, None]).T @ X.values + np.diag(pen)
+def _score_fisher(X: Design, y, w, theta, lam, pen) -> tuple[np.ndarray, np.ndarray]:
+    grad = X.tdot(w * (y - lam)) - pen * theta
+    fisher = X.gram(w * lam) + np.diag(pen)
     return grad, fisher
 
 
-def weighted_poisson_loglik(X: DesignMatrix, y, w, theta) -> float:
+def weighted_poisson_loglik(X: Design, y, w, theta) -> float:
     """Weighted Poisson log-likelihood sum_k w_k (y_k eta_k - exp(eta_k)) + sum_k w_k.
 
     Zero responses contribute w_k (1 - exp(eta_k)); the y*log term is zero
@@ -196,7 +273,7 @@ def weighted_poisson_loglik(X: DesignMatrix, y, w, theta) -> float:
     return _loglik(y, w, eta, np.exp(eta))
 
 
-def score_and_fisher(X: DesignMatrix, y, w, theta, penalty=None) -> tuple[np.ndarray, np.ndarray]:
+def score_and_fisher(X: Design, y, w, theta, penalty=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Fisher information of the (ridge-penalized) log-likelihood.
 
     gradient = X' (w * (y - lambda)) - penalty * theta
@@ -215,7 +292,11 @@ def _deviance(y: np.ndarray, w: np.ndarray, lam: np.ndarray) -> float:
     return float(2.0 * dev.sum())
 
 
-def _check_rank(X: DesignMatrix) -> None:
+def _check_rank(X: Design) -> None:
+    if isinstance(X, BlockDiagonalDesign):
+        # X'X is block-diagonal with M copies of B'B, so pivoted QR of X has
+        # B's R diagonal M times over: X has full column rank iff B has
+        X = X.base
     if X.n_rows < X.n_cols:
         raise RankDeficiencyError(
             f"design has more columns ({X.n_cols}) than rows ({X.n_rows})"
@@ -233,7 +314,7 @@ def _check_rank(X: DesignMatrix) -> None:
         )
 
 
-def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None) -> FitResult:
+def fit_irls(X: Design, y, w, cfg: IrlsConfig | None = None, penalty=None) -> FitResult:
     """Maximize the weighted Poisson log-likelihood by Fisher scoring.
 
     ``penalty`` holds one nonnegative ridge strength per coefficient (None:
@@ -257,9 +338,9 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
         )
 
     theta = np.zeros(X.n_cols)
-    ones_cols = np.nonzero(np.all(X.values == 1.0, axis=0))[0]
-    if ones_cols.size:
-        theta[ones_cols[0]] = math.log(swy / sw)
+    ones = X.ones_column()
+    if ones is not None:
+        theta[ones] = math.log(swy / sw)
 
     def deviances(lam_vec, th):  # plain and penalized
         dev = _deviance(y, w, lam_vec)
@@ -289,7 +370,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
         step, at_guard = 1.0, False
         for _ in range(40):
             cand = theta + step * delta
-            cand_eta = X.values @ cand
+            cand_eta = X.dot(cand)
             if _overflows(cand_eta):
                 at_guard = True
             else:

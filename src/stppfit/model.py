@@ -4,13 +4,16 @@ A model is a list of covariate terms entering a log-linear intensity.
 Fitting builds a cubature scheme over the observation window, assembles
 the design matrix at the cubature points, and hands the weighted Poisson
 regression to the IRLS engine. Multitype patterns are fitted on the
-replicated scheme in a single regression over the same base design,
-stacked once per level, either with one full coefficient set per mark
-level or with shared terms plus per-level intercept contrasts, which an
-optional ridge shrinks toward the first level (a fixed-effects surrogate
-for random mark effects). ``_column_names`` is the one statement of the
-coefficient layout (a model's names must equal it), and
-``FittedModel._coefs`` the one place that resolves a mark argument.
+replicated scheme in a single regression over the same K x p base design,
+either with one full coefficient set per mark level or with shared terms
+plus per-level intercept contrasts, which an optional ridge shrinks
+toward the first level (a fixed-effects surrogate for random mark
+effects). The first is the block-diagonal design I_M kron B, passed as a
+``BlockDiagonalDesign`` that stores only the base, so its memory grows
+linearly in M; the second is a dense (M*K) x (p+M-1) matrix.
+``_column_names`` is the one statement of the coefficient layout (a
+model's names must equal it), and ``FittedModel._coefs`` the one place
+that resolves a mark argument.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .cubature import (
     replicated_responses,
     responses,
 )
-from .glm import DesignMatrix, FitResult, IrlsConfig, fit_irls
+from .glm import BlockDiagonalDesign, DesignMatrix, FitResult, IrlsConfig, fit_irls
 from .patterns import MarkedPointPattern, MarkLevel, PointPattern, SpaceTimePoint, Window
 
 __all__ = [
@@ -114,14 +117,10 @@ def _column_names(spec: ModelSpec, levels) -> tuple[str, ...]:
     return spec.term_names + tuple(f"mark[{lv.label}]" for lv in levels[1:])
 
 
-def _expand_multitype(base: np.ndarray, m: int, interact_all: bool) -> np.ndarray:
-    """Level-major stacked design over ``m`` levels, in the ``_column_names`` order."""
+def _expand_multitype(base: np.ndarray, m: int) -> np.ndarray:
+    """Level-major shared-terms design over ``m`` levels, in the ``_column_names``
+    order: the base stacked ``m`` times, then one indicator per level after the first."""
     k, p = base.shape
-    if interact_all:
-        values = np.zeros((m * k, m * p))
-        for i in range(m):
-            values[i * k : (i + 1) * k, i * p : (i + 1) * p] = base
-        return values
     values = np.zeros((m * k, p + m - 1))
     values[:, :p] = np.tile(base, (m, 1))
     for i in range(1, m):
@@ -227,9 +226,11 @@ class FittedModel:
         """Vectorized ground intensity of a marked model (sum over levels)."""
         if not self.is_marked:
             raise ValueError("marginal intensity is defined for marked models only")
-        out = np.zeros(np.asarray(x, dtype=float).size)
+        terms = _term_matrix(self.spec.terms, np.column_stack([x, y, t]))
+        out = np.zeros(terms.shape[0])
         for lv in self.levels:
-            out += self.intensity_values(x, y, t, mark=lv)
+            coefs, offset = self._coefs(lv)
+            out += np.exp(terms @ coefs + offset)
         return out
 
     def expected_count(self, res: GridResolution | None = None) -> float:
@@ -296,10 +297,13 @@ def fit_multitype(
     scheme = build_replicated_scheme(pattern, res)
     base = build_design(scheme, spec)
     m = scheme.n_levels
-    interact_all = spec.multitype_mode.interact_all
-    design = DesignMatrix(_expand_multitype(base.values, m, interact_all), _column_names(spec, scheme.levels))
-    # the ridge acts on the m - 1 mark contrasts that follow the shared terms
-    penalty = None if interact_all else np.r_[np.zeros(base.n_cols), np.full(m - 1, spec.ridge_on_marks)]
+    names = _column_names(spec, scheme.levels)
+    if spec.multitype_mode.interact_all:
+        design, penalty = BlockDiagonalDesign(base, m, names), None
+    else:
+        design = DesignMatrix(_expand_multitype(base.values, m), names)
+        # the ridge acts on the m - 1 mark contrasts that follow the shared terms
+        penalty = np.r_[np.zeros(base.n_cols), np.full(m - 1, spec.ridge_on_marks)]
     y = replicated_responses(scheme).ravel()
     result = fit_irls(design, y, np.tile(scheme.weights, m), irls, penalty)
     return FittedModel(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stppfit import (
+    BlockDiagonalDesign,
     DesignMatrix,
     FitError,
     GridResolution,
@@ -56,6 +57,60 @@ class TestDesignMatrix:
         assert not design.values.flags.writeable
         with pytest.raises(ValueError):
             design.values[0, 0] = 2.0
+
+
+def names(prefix, count):
+    return tuple(f"{prefix}{j}" for j in range(count))
+
+
+class TestBlockDiagonalDesign:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 30),
+        p=st.integers(1, 5),
+        m=st.integers(2, 5),
+    )
+    def test_products_match_dense_oracle(self, seed, k, p, m):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(k, p))
+        X = BlockDiagonalDesign(DesignMatrix(base, names("c", p)), m, names("b", m * p))
+        dense = np.kron(np.eye(m), base)
+        assert (X.n_rows, X.n_cols) == dense.shape
+        assert X.ones_column() is None
+        theta = rng.normal(size=m * p)
+        v = rng.uniform(0.01, 5.0, size=m * k)
+        # each entry to 1e-12 of the sum of its terms' magnitudes
+        mag = np.abs(dense)
+        assert np.all(np.abs(X.dot(theta) - dense @ theta) <= 1e-12 * (mag @ np.abs(theta)))
+        assert np.all(np.abs(X.tdot(v) - dense.T @ v) <= 1e-12 * (mag.T @ v))
+        want = (dense * v[:, None]).T @ dense
+        assert np.all(np.abs(X.gram(v) - want) <= 1e-12 * ((mag * v[:, None]).T @ mag))
+
+    def test_one_level_keeps_the_base_intercept(self):
+        base = DesignMatrix(np.column_stack([np.ones(4), np.arange(4.0)]), ("1", "x"))
+        assert BlockDiagonalDesign(base, 1, ("1", "x")).ones_column() == 0
+        assert BlockDiagonalDesign(base, 2, names("c", 4)).ones_column() is None
+
+    @pytest.mark.parametrize(
+        "levels, column_names, message",
+        [
+            (0, (), "positive integer"),
+            (2, ("a", "b"), "one column name"),
+            (2, ("a", "b", "a", "c"), "distinct"),
+        ],
+    )
+    def test_validation(self, levels, column_names, message):
+        base = DesignMatrix(np.ones((3, 2)) + np.eye(3, 2), ("u", "v"))
+        with pytest.raises(ValueError, match=message):
+            BlockDiagonalDesign(base, levels, column_names)
+
+    def test_rank_deficient_base_names_the_base_column(self):
+        x = np.linspace(0, 1, 20)
+        base = DesignMatrix(np.column_stack([np.ones(20), x, 2 * x]), ("1", "x", "xx"))
+        X = BlockDiagonalDesign(base, 3, tuple(f"{lv}:{c}" for lv in "ABC" for c in ("1", "x", "xx")))
+        with pytest.raises(RankDeficiencyError, match=r"^column '(x|xx)' is linearly dependent"):
+            fit_irls(X, np.ones(60), np.ones(60))
 
 
 class TestWeightedPoissonLoglik:
@@ -250,25 +305,38 @@ class TestFitIrlsProperties:
         p=st.integers(1, 4),
         ridge=st.booleans(),
         max_iterations=st.sampled_from([1, 2, 100]),
+        levels=st.sampled_from([None, 2, 3]),
     )
-    def test_result_agrees_with_public_kernels(self, seed, p, ridge, max_iterations):
+    def test_result_agrees_with_public_kernels(self, seed, p, ridge, max_iterations, levels):
+        # levels=None fits a dense design; otherwise I_levels kron base as a
+        # BlockDiagonalDesign, checked against the same fit on its dense oracle
         rng = np.random.default_rng(seed)
         rows = int(rng.integers(p + 3, 60))
+        m = levels or 1
         values = np.column_stack([np.ones(rows), rng.normal(size=(rows, p - 1))])
-        X = DesignMatrix(values, tuple(f"c{j}" for j in range(p)))
-        y = np.where(rng.random(rows) < 0.3, 0.0, rng.gamma(2.0, 2.0, size=rows))
-        y[:p] += 1.0
-        w = rng.uniform(0.05, 2.0, size=rows)
+        X = DesignMatrix(values, names("c", p))
+        if levels:
+            X = BlockDiagonalDesign(X, levels, names("b", m * p))
+        y = np.where(rng.random(m * rows) < 0.3, 0.0, rng.gamma(2.0, 2.0, size=m * rows))
+        y.reshape(m, rows)[:, :p] += 1.0
+        w = rng.uniform(0.05, 2.0, size=m * rows)
         pen = (
-            float(rng.uniform(0.1, 5.0)) * rng.integers(0, 2, size=p).astype(float)
+            float(rng.uniform(0.1, 5.0)) * rng.integers(0, 2, size=m * p).astype(float)
             if ridge
             else None
         )
-        res = fit_irls(X, y, w, IrlsConfig(max_iterations=max_iterations), pen)
+        cfg = IrlsConfig(max_iterations=max_iterations)
+        res = fit_irls(X, y, w, cfg, pen)
         assert res.deviance == res.deviance_trace[-1]
         assert res.log_likelihood_approx == weighted_poisson_loglik(X, y, w, res.coefficients)
         grad, _ = score_and_fisher(X, y, w, res.coefficients, pen)
         assert res.converged == (float(np.abs(grad).max()) <= 1e-8 * w.sum())
+        if levels:
+            dense = fit_irls(DesignMatrix(np.kron(np.eye(m), values), X.column_names), y, w, cfg, pen)
+            assert res.iterations == dense.iterations
+            assert len(res.deviance_trace) == len(dense.deviance_trace)
+            np.testing.assert_allclose(res.coefficients, dense.coefficients, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(res.covariance, dense.covariance, rtol=0, atol=1e-9)
 
 
 class TestValidation:

@@ -337,6 +337,22 @@ class TestFitMultitype:
                 atol=1e-6,
             )
 
+    def test_interact_all_rank_check_runs_once_on_the_base(self, monkeypatch):
+        import scipy.linalg
+
+        shapes = []
+        qr = scipy.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", spy)
+        pat = marked_pattern(40, 60, seed=20)
+        terms = (Intercept(), CoordinateMonomial(1, 0, 0), CoordinateMonomial(0, 0, 1))
+        fit_multitype(pat, ModelSpec(terms, multitype_mode=MarkFixedEffects(True)), RES8)
+        assert shapes == [(build_replicated_scheme(pat, RES8).size, 3)]
+
     def test_single_level_directed_to_fit_stpp(self):
         rng = np.random.default_rng(21)
         pts = [(SpaceTimePoint(*rng.random(3)), "solo") for _ in range(5)]
@@ -406,6 +422,17 @@ class TestMarkedPrediction:
             marg = model.marginal_intensity(p)
             assert marg == sum(per_level)
             assert all(marg >= v for v in per_level)
+
+    @pytest.mark.parametrize("interact", [True, False])
+    def test_marginal_values_is_in_order_sum_of_intensity_values(self, interact):
+        pat = marked_pattern(30, 70, seed=25)
+        terms = (Intercept(), CoordinateMonomial(1, 0, 0), CoordinateMonomial(0, 1, 1))
+        model = fit_multitype(pat, ModelSpec(terms, multitype_mode=MarkFixedEffects(interact)), RES8)
+        x, y, t = np.random.default_rng(2).random((3, 200))
+        want = np.zeros(200)
+        for lv in model.levels:
+            want += model.intensity_values(x, y, t, mark=lv)
+        assert model.marginal_values(x, y, t).tobytes() == want.tobytes()
 
     def test_marginal_closed_form(self):
         model = self.make_model()
