@@ -37,7 +37,6 @@ from .cubature import (
 )
 from .formula import LogLinearExpression, parse_log_linear, parse_term_list
 from .glm import (
-    BlockDiagonalDesign,
     DesignMatrix,
     FitError,
     FitResult,
@@ -103,7 +102,6 @@ __all__ = [
     "nearest_grid_value",
     "evaluate_covariate",
     "DesignMatrix",
-    "BlockDiagonalDesign",
     "IrlsConfig",
     "FitResult",
     "FitError",

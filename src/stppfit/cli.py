@@ -256,19 +256,19 @@ def _print_fit_summary(model: FittedModel, verbose: bool) -> None:
 def cmd_fit(ns) -> int:
     if ns.interact_all and ns.shared_terms:
         raise UsageError("--interact-all and --shared-terms conflict")
+    if not ns.marked and (ns.interact_all or ns.shared_terms):
+        raise UsageError("--interact-all and --shared-terms apply to --marked fits only")
     pattern = _read_pattern(ns)
     terms = parse_term_list(ns.terms, _build_externals(ns, pattern.window))
     irls = IrlsConfig(max_iterations=ns.max_iterations, tolerance=ns.tolerance)
-    if ns.marked:
-        spec = ModelSpec(terms, MarkFixedEffects(interact_all=not ns.shared_terms), ns.ridge_marks)
-        model = fit_multitype(pattern, spec, ns.grid, irls)
-    else:
-        model = fit_stpp(pattern, ModelSpec(terms), ns.grid, irls)
+    mode = MarkFixedEffects(interact_all=not ns.shared_terms) if ns.marked else None
+    spec = ModelSpec(terms, mode, ns.ridge_marks)
+    model = (fit_multitype if ns.marked else fit_stpp)(pattern, spec, ns.grid, irls)
 
     save_model(model, ns.out)
     _print_fit_summary(model, ns.verbose)
     if not model.fit.converged:
-        print("warning: fit did not converge; output is partial", file=sys.stderr)
+        warnings.warn("fit did not converge; output is partial")
         return 4
     return 0
 

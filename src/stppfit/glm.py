@@ -11,11 +11,11 @@ total weight.
 One kernel per formula: ``_score_fisher`` (score and Fisher matrix),
 ``_loglik`` and the ``_overflows`` range check serve the public helpers,
 every IRLS step and the final covariance alike. The kernels reach the
-design only through its products ``dot``, ``tdot`` and ``gram``, so the
-same loop fits a dense ``DesignMatrix`` and a ``BlockDiagonalDesign``
-(I_M kron B, the fully mark-interacted multitype design), which keeps one
-K x p base and never forms the (M*K) x (M*p) matrix; the rank check of a
-block design runs once, on that base.
+design only through its products ``dot``, ``tdot`` and ``gram``. The one
+design type, ``DesignMatrix``, is I_M kron B: it stores the K x p matrix B
+and never forms the (M*K) x (M*p) matrix of the fully mark-interacted
+multitype design; an unmarked or dense design is the case M = 1. The
+rank check runs once, on B.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .patterns import _readonly
 
 __all__ = [
     "DesignMatrix",
-    "BlockDiagonalDesign",
     "IrlsConfig",
     "FitResult",
     "FitError",
@@ -59,27 +58,32 @@ class PredictorOverflowError(FitError):
     """A linear predictor is too large for exp() in double precision."""
 
 
-def _checked_names(column_names, n_cols: int) -> tuple[str, ...]:
-    names = tuple(str(c) for c in column_names)
-    if n_cols != len(names):
-        raise ValueError("one column name per design column is required")
-    if len(set(names)) != len(names):
-        raise ValueError(f"column names must be distinct, got {names}")
-    return names
-
-
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """Dense covariate matrix with distinct, named columns."""
+    """The design I_M kron B: ``levels`` (M) copies of ``values`` (B) on the diagonal.
+
+    ``levels=1`` is B itself, a dense matrix with distinct, named columns.
+    ``column_names`` names B's columns. Rows and columns are level-major:
+    row m*K + k is row k of B in level m, and column m*p + j is column j of
+    B in level m. Only the K x p matrix B is stored; ``n_rows`` and
+    ``n_cols`` give the logical (M*K) x (M*p) shape.
+    """
 
     values: np.ndarray
     column_names: tuple[str, ...]
+    levels: int = 1
 
     def __post_init__(self):
+        if int(self.levels) != self.levels or self.levels < 1:
+            raise ValueError(f"levels must be a positive integer, got {self.levels!r}")
         vals = _readonly(np.asarray(self.values, dtype=float))
         if vals.ndim != 2:
             raise ValueError(f"design matrix must be 2-D, got shape {vals.shape}")
-        names = _checked_names(self.column_names, vals.shape[1])
+        names = tuple(str(c) for c in self.column_names)
+        if vals.shape[1] != len(names):
+            raise ValueError("one column name per design column is required")
+        if len(set(names)) != len(names):
+            raise ValueError(f"column names must be distinct, got {names}")
         if len(names) < 1:
             raise ValueError("design matrix needs at least one column")
         if not np.all(np.isfinite(vals)):
@@ -87,80 +91,39 @@ class DesignMatrix:
             raise ValueError(f"non-finite design entry at row {r}, column {names[c]!r}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "column_names", names)
+        object.__setattr__(self, "levels", int(self.levels))
 
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return self.levels * self.values.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self.values.shape[1]
+        return self.levels * self.values.shape[1]
 
     def dot(self, theta: np.ndarray) -> np.ndarray:
         """X theta."""
-        return self.values @ theta
+        # Theta B' is already level-major; (B Theta')' would need a transposed copy
+        return (theta.reshape(self.levels, -1) @ self.values.T).ravel()
 
     def tdot(self, v: np.ndarray) -> np.ndarray:
         """X' v."""
-        return self.values.T @ v
+        return (v.reshape(self.levels, -1) @ self.values).ravel()
 
     def gram(self, v: np.ndarray) -> np.ndarray:
-        """X' diag(v) X."""
-        return (self.values * v[:, None]).T @ self.values
-
-    def ones_column(self) -> int | None:
-        """Index of the first all-ones column, or None."""
-        cols = np.nonzero(np.all(self.values == 1.0, axis=0))[0]
-        return int(cols[0]) if cols.size else None
-
-
-@dataclass(frozen=True, eq=False)
-class BlockDiagonalDesign:
-    """The design I_M kron B: ``levels`` copies of ``base`` on the diagonal.
-
-    Rows and columns are level-major: row m*K + k is base row k of level m,
-    and column m*p + j is base column j of level m. Only the K x p base is
-    stored; ``n_rows`` and ``n_cols`` give the logical (M*K) x (M*p) shape.
-    """
-
-    base: DesignMatrix
-    levels: int
-    column_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if int(self.levels) != self.levels or self.levels < 1:
-            raise ValueError(f"levels must be a positive integer, got {self.levels!r}")
-        object.__setattr__(self, "levels", int(self.levels))
-        object.__setattr__(self, "column_names", _checked_names(self.column_names, self.n_cols))
-
-    @property
-    def n_rows(self) -> int:
-        return self.levels * self.base.n_rows
-
-    @property
-    def n_cols(self) -> int:
-        return self.levels * self.base.n_cols
-
-    def dot(self, theta: np.ndarray) -> np.ndarray:
-        # Theta B' is already level-major; (B Theta')' would need a transposed copy
-        return (theta.reshape(self.levels, self.base.n_cols) @ self.base.values.T).ravel()
-
-    def tdot(self, v: np.ndarray) -> np.ndarray:
-        return (v.reshape(self.levels, self.base.n_rows) @ self.base.values).ravel()
-
-    def gram(self, v: np.ndarray) -> np.ndarray:
-        b, p = self.base.values, self.base.n_cols
+        """X' diag(v) X: M diagonal blocks B' diag(v_m) B."""
+        b, p = self.values, self.values.shape[1]
         out = np.zeros((self.n_cols, self.n_cols))
-        for m, vm in enumerate(v.reshape(self.levels, self.base.n_rows)):
+        for m, vm in enumerate(v.reshape(self.levels, -1)):
             out[m * p : (m + 1) * p, m * p : (m + 1) * p] = (b * vm[:, None]).T @ b
         return out
 
     def ones_column(self) -> int | None:
-        # with two or more levels every column is zero outside its own level
-        return self.base.ones_column() if self.levels == 1 else None
-
-
-Design = DesignMatrix | BlockDiagonalDesign
+        """Index of the first all-ones column, or None."""
+        if self.levels > 1:  # every column is zero outside its own level
+            return None
+        cols = np.nonzero(np.all(self.values == 1.0, axis=0))[0]
+        return int(cols[0]) if cols.size else None
 
 
 @dataclass(frozen=True)
@@ -212,7 +175,7 @@ class FitResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-def _validated(X: Design, y, w, theta=None, penalty=None):
+def _validated(X: DesignMatrix, y, w, theta=None, penalty=None):
     """y, w, theta (None if not given) and the per-coefficient ridge penalty
     (zeros if not given) as float vectors, checked against X."""
     y = np.asarray(y, dtype=float).ravel()
@@ -241,7 +204,7 @@ def _overflows(eta: np.ndarray) -> bool:
     return eta.size > 0 and float(np.abs(eta).max()) > MAX_LINEAR_PREDICTOR
 
 
-def _linear_predictor(X: Design, theta: np.ndarray) -> np.ndarray:
+def _linear_predictor(X: DesignMatrix, theta: np.ndarray) -> np.ndarray:
     eta = X.dot(theta)
     if _overflows(eta):
         k = int(np.argmax(np.abs(eta)))
@@ -256,13 +219,13 @@ def _loglik(y: np.ndarray, w: np.ndarray, eta: np.ndarray, lam: np.ndarray) -> f
     return float(np.dot(w * y, eta) - np.dot(w, lam) + w.sum())
 
 
-def _score_fisher(X: Design, y, w, theta, lam, pen) -> tuple[np.ndarray, np.ndarray]:
+def _score_fisher(X: DesignMatrix, y, w, theta, lam, pen) -> tuple[np.ndarray, np.ndarray]:
     grad = X.tdot(w * (y - lam)) - pen * theta
     fisher = X.gram(w * lam) + np.diag(pen)
     return grad, fisher
 
 
-def weighted_poisson_loglik(X: Design, y, w, theta) -> float:
+def weighted_poisson_loglik(X: DesignMatrix, y, w, theta) -> float:
     """Weighted Poisson log-likelihood sum_k w_k (y_k eta_k - exp(eta_k)) + sum_k w_k.
 
     Zero responses contribute w_k (1 - exp(eta_k)); the y*log term is zero
@@ -273,7 +236,7 @@ def weighted_poisson_loglik(X: Design, y, w, theta) -> float:
     return _loglik(y, w, eta, np.exp(eta))
 
 
-def score_and_fisher(X: Design, y, w, theta, penalty=None) -> tuple[np.ndarray, np.ndarray]:
+def score_and_fisher(X: DesignMatrix, y, w, theta, penalty=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Fisher information of the (ridge-penalized) log-likelihood.
 
     gradient = X' (w * (y - lambda)) - penalty * theta
@@ -285,22 +248,19 @@ def score_and_fisher(X: Design, y, w, theta, penalty=None) -> tuple[np.ndarray, 
 
 def _deviance(y: np.ndarray, w: np.ndarray, lam: np.ndarray) -> float:
     pos = y > 0
-    dev = np.array(w * lam)
+    dev = w * lam
     yl = y[pos]
     with np.errstate(divide="ignore"):
         dev[pos] = w[pos] * (yl * np.log(yl / lam[pos]) - (yl - lam[pos]))
     return float(2.0 * dev.sum())
 
 
-def _check_rank(X: Design) -> None:
-    if isinstance(X, BlockDiagonalDesign):
-        # X'X is block-diagonal with M copies of B'B, so pivoted QR of X has
-        # B's R diagonal M times over: X has full column rank iff B has
-        X = X.base
-    if X.n_rows < X.n_cols:
-        raise RankDeficiencyError(
-            f"design has more columns ({X.n_cols}) than rows ({X.n_rows})"
-        )
+def _check_rank(X: DesignMatrix) -> None:
+    # X'X is block-diagonal with M copies of B'B, so pivoted QR of X has B's
+    # R diagonal M times over: X has full column rank iff B has
+    k, p = X.values.shape
+    if k < p:
+        raise RankDeficiencyError(f"design has more columns ({p}) than rows ({k})")
     _, r, piv = scipy.linalg.qr(X.values, mode="raw", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0:
@@ -314,7 +274,7 @@ def _check_rank(X: Design) -> None:
         )
 
 
-def fit_irls(X: Design, y, w, cfg: IrlsConfig | None = None, penalty=None) -> FitResult:
+def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None) -> FitResult:
     """Maximize the weighted Poisson log-likelihood by Fisher scoring.
 
     ``penalty`` holds one nonnegative ridge strength per coefficient (None:
@@ -323,9 +283,11 @@ def fit_irls(X: Design, y, w, cfg: IrlsConfig | None = None, penalty=None) -> Fi
     halved whenever the penalized deviance would increase or the linear
     predictor would leave |eta| <= MAX_LINEAR_PREDICTOR, so the deviance
     trace is non-increasing up to roundoff. Raises on rank-deficient
-    designs, on all-zero responses, and when the last step still ran into
-    that bound (in each of the latter two the maximum does not exist);
-    reaching the iteration cap returns a result with ``converged=False``.
+    designs, on a singular Fisher matrix, on all-zero responses, and when
+    the last step still ran into that bound. The maximum does not exist in
+    the latter two cases, and when the Fisher matrix turns singular while
+    the fitted rates w*lambda span more than 1/eps; reaching the iteration
+    cap returns a result with ``converged=False``.
     """
     cfg = cfg if cfg is not None else IrlsConfig()
     y, w, _, pen = _validated(X, y, w, penalty=penalty)
@@ -362,6 +324,14 @@ def fit_irls(X: Design, y, w, cfg: IrlsConfig | None = None, penalty=None) -> Fi
         try:
             delta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), grad)
         except scipy.linalg.LinAlgError as exc:
+            rates = w * lam
+            lo, hi = float(rates.min()), float(rates.max())
+            if lo / hi < np.finfo(float).eps:
+                raise FitError(
+                    f"the maximum-likelihood estimate does not exist: at iteration {iterations} "
+                    f"the Fisher information is singular as the fitted rates w*lambda span "
+                    f"{lo:.3g} to {hi:.3g} (ratio {lo / hi:.2g} is below machine epsilon)"
+                ) from exc
             raise FitError(
                 f"Fisher information became singular at iteration {iterations}; "
                 f"last deviance {trace[-1]:.10g}"

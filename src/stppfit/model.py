@@ -2,15 +2,17 @@
 
 A model is a list of covariate terms entering a log-linear intensity.
 Fitting builds a cubature scheme over the observation window, assembles
-the design matrix at the cubature points, and hands the weighted Poisson
-regression to the IRLS engine. Multitype patterns are fitted on the
-replicated scheme in a single regression over the same K x p base design,
-either with one full coefficient set per mark level or with shared terms
-plus per-level intercept contrasts, which an optional ridge shrinks
-toward the first level (a fixed-effects surrogate for random mark
-effects). The first is the block-diagonal design I_M kron B, passed as a
-``BlockDiagonalDesign`` that stores only the base, so its memory grows
-linearly in M; the second is a dense (M*K) x (p+M-1) matrix.
+the K x p base design B at the cubature points, and hands the weighted
+Poisson regression to the IRLS engine. ``fit_stpp`` and ``fit_multitype``
+check their inputs, build their scheme and share one fit body, ``_fit``.
+A multitype pattern is fitted on the replicated scheme in a single
+regression over M level-major copies of the cubature rows, either with
+one full coefficient set per mark level or with shared terms plus
+per-level intercept contrasts, which an optional ridge shrinks toward the
+first level (a fixed-effects surrogate for random mark effects). The
+first is the design I_M kron B, a ``DesignMatrix`` with ``levels=M`` that
+stores only B, so its memory grows linearly in M; an unmarked fit is the
+case M = 1. The second is a dense (M*K) x (p+M-1) matrix.
 ``_column_names`` is the one statement of the coefficient layout (a
 model's names must equal it), and ``FittedModel._coefs`` the one place
 that resolves a mark argument.
@@ -35,7 +37,7 @@ from .cubature import (
     replicated_responses,
     responses,
 )
-from .glm import BlockDiagonalDesign, DesignMatrix, FitResult, IrlsConfig, fit_irls
+from .glm import DesignMatrix, FitResult, IrlsConfig, fit_irls
 from .patterns import MarkedPointPattern, MarkLevel, PointPattern, SpaceTimePoint, Window
 
 __all__ = [
@@ -96,7 +98,7 @@ def _term_matrix(terms, coords: np.ndarray) -> np.ndarray:
 
 
 def build_design(scheme: CubatureScheme, spec: ModelSpec) -> DesignMatrix:
-    """Design matrix with one row per cubature point and one column per term."""
+    """The base design B: one row per cubature point and one column per term."""
     for t in spec.terms:
         if isinstance(t, ExternalCovariate) and not t.grid.window.contains_window(scheme.window):
             raise ValueError(
@@ -244,6 +246,35 @@ class FittedModel:
         return approximate_integral(scheme, values)
 
 
+def _fit(scheme: CubatureScheme, spec: ModelSpec, irls: IrlsConfig | None,
+         levels: tuple[MarkLevel, ...] = ()) -> FittedModel:
+    """Fit ``spec`` on ``scheme``, which is replicated exactly when ``levels`` is
+    not empty: one weighted Poisson regression over one level-major copy of the
+    cubature rows per mark level (one copy when unmarked)."""
+    base = build_design(scheme, spec)
+    m = max(1, len(levels))
+    if levels and not spec.multitype_mode.interact_all:
+        design = DesignMatrix(_expand_multitype(base.values, m), _column_names(spec, levels))
+        # the ridge acts on the m - 1 mark contrasts that follow the shared terms
+        penalty = np.r_[np.zeros(base.n_cols), np.full(m - 1, spec.ridge_on_marks)]
+    else:
+        design, penalty = DesignMatrix(base.values, base.column_names, m), None
+    y = replicated_responses(scheme).ravel() if levels else responses(scheme)
+    # every level shares the one weight vector; at m = 1 the ravel is a view, not a copy
+    w = np.broadcast_to(scheme.weights, (m, scheme.size)).ravel()
+    result = fit_irls(design, y, w, irls, penalty)
+    return FittedModel(
+        spec=spec,
+        window=scheme.window,
+        resolution=scheme.resolution,
+        n_data=scheme.n_data,
+        n_dummy=scheme.n_dummy,
+        fit=result,
+        column_names=_column_names(spec, levels),
+        levels=levels,
+    )
+
+
 def fit_stpp(
     pattern: PointPattern,
     spec: ModelSpec,
@@ -257,18 +288,7 @@ def fit_stpp(
         raise ValueError("pattern is marked: use fit_multitype")
     if pattern.n == 0:
         raise ValueError("no points: an empty pattern has no finite intensity estimate")
-    scheme = build_scheme(pattern, res)
-    design = build_design(scheme, spec)
-    result = fit_irls(design, responses(scheme), scheme.weights, irls)
-    return FittedModel(
-        spec=spec,
-        window=pattern.window,
-        resolution=res,
-        n_data=scheme.n_data,
-        n_dummy=scheme.n_dummy,
-        fit=result,
-        column_names=design.column_names,
-    )
+    return _fit(build_scheme(pattern, res), spec, irls)
 
 
 def fit_multitype(
@@ -295,24 +315,4 @@ def fit_multitype(
             "does not exist, drop them or merge levels"
         )
     scheme = build_replicated_scheme(pattern, res)
-    base = build_design(scheme, spec)
-    m = scheme.n_levels
-    names = _column_names(spec, scheme.levels)
-    if spec.multitype_mode.interact_all:
-        design, penalty = BlockDiagonalDesign(base, m, names), None
-    else:
-        design = DesignMatrix(_expand_multitype(base.values, m), names)
-        # the ridge acts on the m - 1 mark contrasts that follow the shared terms
-        penalty = np.r_[np.zeros(base.n_cols), np.full(m - 1, spec.ridge_on_marks)]
-    y = replicated_responses(scheme).ravel()
-    result = fit_irls(design, y, np.tile(scheme.weights, m), irls, penalty)
-    return FittedModel(
-        spec=spec,
-        window=pattern.window,
-        resolution=res,
-        n_data=scheme.n_data,
-        n_dummy=scheme.n_dummy,
-        fit=result,
-        column_names=design.column_names,
-        levels=scheme.levels,
-    )
+    return _fit(scheme, spec, irls, scheme.levels)

@@ -231,6 +231,30 @@ class TestFitCommand:
         assert "interact_all=False" in r.stderr
         assert not (workdir / "ridge.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--ridge-marks", "0.5"), ("--shared-terms",), ("--interact-all",)],
+        ids=["ridge-marks", "shared-terms", "interact-all"],
+    )
+    def test_multitype_flag_without_marked_is_usage_error(self, workdir, flags):
+        r = run_cli(
+            "fit", "--pattern", "u100.csv", "--window", WINDOW, *flags, "--terms", "1,x",
+            "--grid", "6,6,6", "--out", "unmarked_flag.json", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert not (workdir / "unmarked_flag.json").exists()
+
+    def test_non_convergence_warning_is_one_stderr_line(self, workdir):
+        # a subprocess, so that Python's own warning filters and output apply
+        r = run_module(
+            "fit", "--pattern", "u100.csv", "--window", WINDOW, "--terms", "1,x,y",
+            "--grid", "6,6,6", "--max-iterations", "1", "--out", "partial_warn.json",
+            cwd=workdir,
+        )
+        assert r.returncode == 4
+        assert r.stderr == "warning: fit did not converge; output is partial\n"
+
     def test_non_convergence_exits_4_with_partial_output(self, workdir):
         r = run_cli(
             "fit", "--pattern", "u100.csv", "--window", WINDOW, "--terms", "1,x,y",
@@ -507,9 +531,9 @@ class TestConvergenceStudyCommand:
     def test_error_rows_and_empty_rung_match_golden_bytes(self, workdir, use_config):
         # seeds 1 and 4 simulate no points; seeds 2 and 6 simulate one point,
         # whose fits have no maximum-likelihood estimate: at rung 2 (and seed 6
-        # at rung 3) the Fisher information becomes singular first, and seed 2
-        # at rung 3 runs into the linear-predictor bound. No rung has a
-        # successful cell
+        # at rung 3) the Fisher information becomes singular first, with fitted
+        # rates spanning more than 1/eps, and seed 2 at rung 3 runs into the
+        # linear-predictor bound. No rung has a successful cell
         out = f"golden_{use_config}.csv"
         if use_config:
             cfg = {"window": [0, 1, 0, 1, 0, 1], "log_intensity": "-0.5 + 0.3*x", "lambda_max": 0.9,
@@ -547,3 +571,47 @@ class TestConvergenceStudyCommand:
     def test_usage_without_subcommand(self, workdir):
         r = run_cli(cwd=workdir)
         assert r.returncode == 2
+
+
+# every output file of the golden runs, compared byte for byte with tests/fixtures/golden_<name>
+GOLDEN_RUNS = [
+    ("fit", "--pattern", "golden_u.csv", "--window", WINDOW, "--terms", "1,x,t", "--grid", "6",
+     "--out", "unmarked.json"),
+    ("predict-grid", "--model", "unmarked.json", "--grid", "3", "--out", "unmarked_surface.csv"),
+    ("fit", "--pattern", "golden_m.csv", "--window", WINDOW, "--marked", "--terms", "1,x,y",
+     "--grid", "6", "--out", "interact_all.json"),
+    ("fit", "--pattern", "golden_m.csv", "--window", WINDOW, "--marked", "--shared-terms",
+     "--ridge-marks", "1.0", "--terms", "1,x,t", "--grid", "6", "--out", "shared_ridge.json"),
+    ("predict-grid", "--model", "shared_ridge.json", "--grid", "3", "--marginal",
+     "--out", "shared_ridge_marginal.csv"),
+]
+
+
+def golden_outputs(d: Path) -> dict[str, bytes]:
+    """Write the seeded input patterns to ``d``, run ``GOLDEN_RUNS`` there, and
+    return each output file's bytes by name.
+
+    To regenerate the fixtures after an intended output change, write this
+    dict's values to ``tests/fixtures/golden_<name>``.
+    """
+    rng = np.random.default_rng(2024)
+    write_pattern_csv(PointPattern.from_arrays(UNIT, *rng.random((3, 150))), d / "golden_u.csv")
+    pts = [(SpaceTimePoint(*rng.random(3)), label) for label, n in (("A", 40), ("B", 60), ("C", 80))
+           for _ in range(n)]
+    write_pattern_csv(MarkedPointPattern.from_labeled(UNIT, pts), d / "golden_m.csv")
+    outputs = {}
+    for args in GOLDEN_RUNS:
+        r = run_cli(*args, cwd=d)
+        assert r.returncode == 0, r.stderr
+        out = args[-1]
+        outputs[out] = (d / out).read_bytes()
+    return outputs
+
+
+class TestGoldenOutputs:
+    def test_successful_fits_and_surfaces_match_golden_bytes(self, tmp_path):
+        # the unmarked fit, both multitype modes (the shared-terms one ridged)
+        # and two surfaces, pinned so that a refactor of the fitting path
+        # shows any change in the bytes it writes
+        for name, data in golden_outputs(tmp_path).items():
+            assert data == (FIXTURES / f"golden_{name}").read_bytes(), name

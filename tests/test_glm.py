@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stppfit import (
-    BlockDiagonalDesign,
     DesignMatrix,
     FitError,
     GridResolution,
@@ -64,22 +63,30 @@ def names(prefix, count):
 
 
 class TestBlockDiagonalDesign:
+    """``DesignMatrix(values, names, levels)``: the block-diagonal design I_levels kron values."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         k=st.integers(1, 30),
         p=st.integers(1, 5),
-        m=st.integers(2, 5),
+        m=st.integers(1, 5),
     )
     def test_products_match_dense_oracle(self, seed, k, p, m):
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(k, p))
-        X = BlockDiagonalDesign(DesignMatrix(base, names("c", p)), m, names("b", m * p))
+        X = DesignMatrix(base, names("c", p), m)
         dense = np.kron(np.eye(m), base)
         assert (X.n_rows, X.n_cols) == dense.shape
-        assert X.ones_column() is None
         theta = rng.normal(size=m * p)
         v = rng.uniform(0.01, 5.0, size=m * k)
+        if m == 1:
+            # one level is B itself: the dense products, bit for bit
+            assert np.array_equal(X.dot(theta), base @ theta)
+            assert np.array_equal(X.tdot(v), base.T @ v)
+            assert np.array_equal(X.gram(v), (base * v[:, None]).T @ base)
+            return
+        assert X.ones_column() is None
         # each entry to 1e-12 of the sum of its terms' magnitudes
         mag = np.abs(dense)
         assert np.all(np.abs(X.dot(theta) - dense @ theta) <= 1e-12 * (mag @ np.abs(theta)))
@@ -88,27 +95,26 @@ class TestBlockDiagonalDesign:
         assert np.all(np.abs(X.gram(v) - want) <= 1e-12 * ((mag * v[:, None]).T @ mag))
 
     def test_one_level_keeps_the_base_intercept(self):
-        base = DesignMatrix(np.column_stack([np.ones(4), np.arange(4.0)]), ("1", "x"))
-        assert BlockDiagonalDesign(base, 1, ("1", "x")).ones_column() == 0
-        assert BlockDiagonalDesign(base, 2, names("c", 4)).ones_column() is None
+        values = np.column_stack([np.ones(4), np.arange(4.0)])
+        assert DesignMatrix(values, ("1", "x")).ones_column() == 0
+        assert DesignMatrix(values, ("1", "x"), 2).ones_column() is None
 
     @pytest.mark.parametrize(
         "levels, column_names, message",
         [
-            (0, (), "positive integer"),
-            (2, ("a", "b"), "one column name"),
-            (2, ("a", "b", "a", "c"), "distinct"),
+            (0, ("u", "v"), "positive integer"),
+            (2, ("u", "v", "w", "z"), "one column name"),
+            (2, ("u", "u"), "distinct"),
+            (1.5, ("u", "v"), "positive integer"),
         ],
     )
     def test_validation(self, levels, column_names, message):
-        base = DesignMatrix(np.ones((3, 2)) + np.eye(3, 2), ("u", "v"))
         with pytest.raises(ValueError, match=message):
-            BlockDiagonalDesign(base, levels, column_names)
+            DesignMatrix(np.ones((3, 2)) + np.eye(3, 2), column_names, levels)
 
     def test_rank_deficient_base_names_the_base_column(self):
         x = np.linspace(0, 1, 20)
-        base = DesignMatrix(np.column_stack([np.ones(20), x, 2 * x]), ("1", "x", "xx"))
-        X = BlockDiagonalDesign(base, 3, tuple(f"{lv}:{c}" for lv in "ABC" for c in ("1", "x", "xx")))
+        X = DesignMatrix(np.column_stack([np.ones(20), x, 2 * x]), ("1", "x", "xx"), 3)
         with pytest.raises(RankDeficiencyError, match=r"^column '(x|xx)' is linearly dependent"):
             fit_irls(X, np.ones(60), np.ones(60))
 
@@ -305,18 +311,15 @@ class TestFitIrlsProperties:
         p=st.integers(1, 4),
         ridge=st.booleans(),
         max_iterations=st.sampled_from([1, 2, 100]),
-        levels=st.sampled_from([None, 2, 3]),
+        m=st.sampled_from([1, 2, 3]),
     )
-    def test_result_agrees_with_public_kernels(self, seed, p, ridge, max_iterations, levels):
-        # levels=None fits a dense design; otherwise I_levels kron base as a
-        # BlockDiagonalDesign, checked against the same fit on its dense oracle
+    def test_result_agrees_with_public_kernels(self, seed, p, ridge, max_iterations, m):
+        # m levels: the design I_m kron base, which for m > 1 is checked
+        # against the same fit on its dense oracle
         rng = np.random.default_rng(seed)
         rows = int(rng.integers(p + 3, 60))
-        m = levels or 1
         values = np.column_stack([np.ones(rows), rng.normal(size=(rows, p - 1))])
-        X = DesignMatrix(values, names("c", p))
-        if levels:
-            X = BlockDiagonalDesign(X, levels, names("b", m * p))
+        X = DesignMatrix(values, names("c", p), m)
         y = np.where(rng.random(m * rows) < 0.3, 0.0, rng.gamma(2.0, 2.0, size=m * rows))
         y.reshape(m, rows)[:, :p] += 1.0
         w = rng.uniform(0.05, 2.0, size=m * rows)
@@ -331,8 +334,8 @@ class TestFitIrlsProperties:
         assert res.log_likelihood_approx == weighted_poisson_loglik(X, y, w, res.coefficients)
         grad, _ = score_and_fisher(X, y, w, res.coefficients, pen)
         assert res.converged == (float(np.abs(grad).max()) <= 1e-8 * w.sum())
-        if levels:
-            dense = fit_irls(DesignMatrix(np.kron(np.eye(m), values), X.column_names), y, w, cfg, pen)
+        if m > 1:
+            dense = fit_irls(DesignMatrix(np.kron(np.eye(m), values), names("b", m * p)), y, w, cfg, pen)
             assert res.iterations == dense.iterations
             assert len(res.deviance_trace) == len(dense.deviance_trace)
             np.testing.assert_allclose(res.coefficients, dense.coefficients, rtol=0, atol=1e-9)
