@@ -3,11 +3,11 @@
 ``_build_parser`` is the one place that states an option's type, default
 and help. ``--config`` names a JSON object of option values that become
 the command's parser defaults, so explicit flags win. Warnings raised by
-a command reach stderr as ``warning: <message>`` lines. Exit codes: 0
-success, 2 usage or parse problem, 3 I/O problem, 4 fit did not converge
-(partial output is still written). All outputs are deterministic given
-flags and seeds, except the convergence-study timing sidecar, which
-records wall-clock times.
+a command, the inferred window among them, reach stderr as ``warning:
+<message>`` lines. Exit codes: 0 success, 2 usage or parse problem, 3 I/O
+problem, 4 fit did not converge (partial output is still written). All
+outputs are deterministic given flags and seeds, except the
+convergence-study timing sidecar, which records wall-clock times.
 """
 
 from __future__ import annotations
@@ -205,10 +205,7 @@ def _read_pattern(ns):
         raise UsageError("pass --window x0,x1,y0,y1,t0,t1 or opt into --infer-window")
     pattern = read_pattern_csv(ns.pattern, infer_window=True, marked=ns.marked)
     window = pattern.window
-    print(
-        f"inferred window from data: x={window.x_range} y={window.y_range} t={window.t_range}",
-        file=sys.stderr,
-    )
+    warnings.warn(f"inferred window from data: x={window.x_range} y={window.y_range} t={window.t_range}")
     return pattern
 
 
@@ -258,6 +255,9 @@ def cmd_fit(ns) -> int:
         raise UsageError("--interact-all and --shared-terms conflict")
     if not ns.marked and (ns.interact_all or ns.shared_terms):
         raise UsageError("--interact-all and --shared-terms apply to --marked fits only")
+    if ns.ridge_marks > 0 and not (ns.marked and ns.shared_terms):
+        raise UsageError("--ridge-marks applies to --marked --shared-terms fits only "
+                         "(the mode MarkFixedEffects(interact_all=False))")
     pattern = _read_pattern(ns)
     terms = parse_term_list(ns.terms, _build_externals(ns, pattern.window))
     irls = IrlsConfig(max_iterations=ns.max_iterations, tolerance=ns.tolerance)
@@ -462,17 +462,19 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _run(ns) -> int:
-    """Run the command, formatting each warning it shows as one ``warning: <message>`` line.
+    """Run the command; each warning it shows reaches stderr as one ``warning: <message>`` line.
 
-    Only the format changes: Python's filters still decide which warnings
-    are shown, and a ``showwarning`` hook the caller installed still gets them.
+    Warnings are the CLI's one diagnostics channel. Python's filters still
+    decide which warnings are shown, and a ``showwarning`` hook the caller
+    installed gets them instead of stderr.
     """
-    formatwarning = warnings.formatwarning
-    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    showwarning = warnings.showwarning
+    if showwarning is warnings._showwarning_orig:
+        warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
     try:
         return ns.func(ns)
     finally:
-        warnings.formatwarning = formatwarning
+        warnings.showwarning = showwarning
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,10 @@
 """Covariate terms for log-linear intensity models.
 
 Built-in terms are the intercept and coordinate monomials ``x^i y^j t^k``.
-External covariates observed at scattered locations are first smoothed
-onto a fine regular grid by three-dimensional inverse-distance weighting
-(IDW) and then looked up by containing cell, which for cell centers is
-the nearest grid point.
+External covariates observed at scattered locations are smoothed onto a
+fine regular grid by three-dimensional inverse-distance weighting (IDW)
+and looked up by containing cell, which for cell centers is the nearest
+grid point. The grid computes a cell only when a lookup first reads it.
 
 Space and time carry different units, so raw 3D Euclidean distance is not
 meaningful; distances are computed after dividing each axis by a
@@ -14,7 +14,6 @@ the window onto the unit cube).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -47,7 +46,10 @@ MAX_MONOMIAL_DEGREE = 6
 _COINCIDENT_DIST = 1e-12
 
 # Cap on the (query, sample) pairs in one IDW block buffer.
-_BLOCK_PAIRS = 1 << 16
+_BLOCK_PAIRS = 1 << 15
+
+# Cell ids CovariateGrid.values_at checks and fills per step: bounds a read's memory.
+_READ_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -89,75 +91,57 @@ class IdwConfig:
         return cls(power=power, scaling=window.lengths)
 
 
-def _sample_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    samples = list(samples)
-    if not samples:
+def _sample_table(samples) -> np.ndarray:
+    """The samples as an (J, 4) array of ``x, y, t, value`` rows."""
+    table = np.array([(*s.location.as_tuple(), s.value) for s in samples], dtype=float)
+    if not len(table):
         raise ValueError("IDW needs at least one covariate sample")
-    xyz = np.array([s.location.as_tuple() for s in samples], dtype=float)
-    vals = np.array([s.value for s in samples], dtype=float)
-    return xyz, vals
+    return table
 
 
-def _idw_on_axes(axes, xyz: np.ndarray, vals: np.ndarray, cfg: IdwConfig) -> np.ndarray:
-    """IDW estimates on the tensor product of the coordinate arrays ``axes = (ax, ay, at)``.
+def _idw_cells(axes, cells: np.ndarray, samples: np.ndarray, cfg: IdwConfig, out: np.ndarray) -> None:
+    """Write the IDW estimate at cell ``cells[k]`` of the grid ``axes`` to ``out[cells[k]]``.
 
-    The result is in cell-id order (x fastest, then y, then t). Scaled
-    squared distances come from per-axis tables ``D_a = (axis_a / scale_a -
-    s_a)**2`` of shape ``(n_a, J)``, summed as ``(D_x + D_y) + D_t``: the
-    order of the direct ``((q - s)**2).sum(axis=-1)``. Queries are taken in
-    blocks of at most ``_BLOCK_PAIRS`` (query, sample) pairs, and one block
-    of ``D_x + D_y`` serves every t slice, so working memory is two block
-    buffers plus the three tables. Weights are normalized per row before
-    the value sum, which makes a lone sample reproduce exactly. Every row is
-    reduced on its own, so each value is bit-identical to the direct
-    formula whatever the axes or the block size: grid smoothing and
-    single-point interpolation agree bit for bit.
+    ``axes = (ax, ay, at)`` are the cell-center coordinates (ids run x
+    fastest) and ``samples`` holds ``x, y, t, value`` rows. Cell ``(ix, iy,
+    it)`` sums the per-axis tables ``D_a = (axis_a / scale_a - s_a)**2`` as
+    ``(D_x[ix] + D_y[iy]) + D_t[it]``, the order of the direct ``((q -
+    s)**2).sum(axis=-1)``, in blocks of at most ``_BLOCK_PAIRS`` (cell,
+    sample) pairs. Weights are normalized per row before the value sum, so
+    a lone sample reproduces exactly; a cell within ``_COINCIDENT_DIST`` of
+    samples gets the mean of their values. Each row is reduced on its own,
+    so a value is bit-identical to the direct formula whatever else is
+    computed with it.
     """
-    s = xyz / np.asarray(cfg.scaling)
+    s, vals = samples[:, :3] / np.asarray(cfg.scaling), np.ascontiguousarray(samples[:, 3])
     dx, dy, dt = (
         (np.asarray(ax, dtype=float)[:, None] / sc - s[None, :, a]) ** 2
         for a, (ax, sc) in enumerate(zip(axes, cfg.scaling))
     )
-    nx, n_xy, nt = len(dx), len(dx) * len(dy), len(dt)
-    n_samples = len(vals)
-    rows = max(1, min(n_xy, _BLOCK_PAIRS // n_samples))
-    dxy_buf = np.empty((rows, n_samples))
-    w_buf = np.empty((rows, n_samples))
-    out = np.empty(n_xy * nt)
+    nx, ny, n, n_samples = len(dx), len(dy), len(cells), len(vals)
+    rows = max(1, min(n, _BLOCK_PAIRS // n_samples))
+    d_buf, w_buf, eps2 = np.empty((rows, n_samples)), np.empty((rows, n_samples)), _COINCIDENT_DIST**2
     # coincident rows come out as nan here and are overwritten below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for r0 in range(0, n_xy, rows):
-            xy = np.arange(r0, min(r0 + rows, n_xy))
-            dxy, w = dxy_buf[: len(xy)], w_buf[: len(xy)]
-            # mode="clip" lets take write into out without a temporary
-            np.take(dx, xy % nx, axis=0, out=dxy, mode="clip")
-            np.take(dy, xy // nx, axis=0, out=w, mode="clip")
-            dxy += w
-            for it in range(nt):
-                np.add(dxy, dt[it], out=w)
-                if cfg.power == 2.0:
-                    np.divide(1.0, w, out=w)
-                else:
-                    np.power(w, -cfg.power / 2.0, out=w)
-                w /= w.sum(axis=1, keepdims=True)
-                w *= vals
-                w.sum(axis=1, out=out[it * n_xy + r0 : it * n_xy + r0 + len(xy)])
-
-    # A cell within _COINCIDENT_DIST of a sample gets the mean of all such
-    # samples. A rounded sum of nonnegative terms is at least each term, so
-    # only samples close on every axis can be coincident with a cell.
-    eps2 = _COINCIDENT_DIST**2
-    near_x, near_y, near_t = (d < eps2 for d in (dx, dy, dt))
-    hits = set()
-    for j in np.flatnonzero(near_x.any(axis=0) & near_y.any(axis=0) & near_t.any(axis=0)):
-        hits.update(
-            itertools.product(*(np.flatnonzero(n[:, j]) for n in (near_x, near_y, near_t)))
-        )
-    for ix, iy, it in hits:
-        near = (dx[ix] + dy[iy]) + dt[it] < eps2
-        if near.any():
-            out[it * n_xy + iy * nx + ix] = float(np.mean(vals[near]))
-    return out
+        for r0 in range(0, n, rows):
+            c = cells[r0 : r0 + rows]
+            d, w = d_buf[: len(c)], w_buf[: len(c)]
+            # mode="clip" lets take write into the buffers without a temporary
+            np.take(dx, c % nx, axis=0, out=d, mode="clip")
+            np.take(dy, c // nx % ny, axis=0, out=w, mode="clip")
+            d += w
+            np.take(dt, c // (nx * ny), axis=0, out=w, mode="clip")
+            d += w
+            if cfg.power == 2.0:
+                np.divide(1.0, d, out=w)
+            else:
+                np.power(d, -cfg.power / 2.0, out=w)
+            w /= w.sum(axis=1, keepdims=True)
+            w *= vals
+            v = w.sum(axis=1)
+            for r in np.flatnonzero(d.min(axis=1) < eps2):
+                v[r] = float(np.mean(vals[d[r] < eps2]))
+            out[c] = v
 
 
 def idw_interpolate(samples, query: SpaceTimePoint, cfg: IdwConfig | None = None) -> float:
@@ -168,29 +152,63 @@ def idw_interpolate(samples, query: SpaceTimePoint, cfg: IdwConfig | None = None
     the plain mean of those samples' values, which keeps the interpolant
     exact at its sampling locations.
     """
-    xyz, vals = _sample_arrays(samples)
-    cfg = cfg if cfg is not None else IdwConfig()
-    axes = ([query.x], [query.y], [query.t])
-    return float(_idw_on_axes(axes, xyz, vals, cfg)[0])
+    axes, cfg, out = ([query.x], [query.y], [query.t]), cfg if cfg is not None else IdwConfig(), np.empty(1)
+    _idw_cells(axes, np.zeros(1, dtype=np.intp), _sample_table(samples), cfg, out)
+    return float(out[0])
 
 
-@dataclass(frozen=True, eq=False)
 class CovariateGrid:
-    """Covariate values on a regular grid, stored in cell-id order."""
+    """Covariate values on a regular grid, in cell-id order (x fastest, then y, then t).
 
-    window: Window
-    resolution: GridResolution
-    values: np.ndarray
+    ``CovariateGrid(window, resolution, values)`` holds one value per cell.
+    ``CovariateGrid(window, resolution, samples=table, idw=cfg)``, which
+    ``smooth_to_grid`` builds, holds IDW samples instead, an (J, 4) array of
+    ``x, y, t, value`` rows, and computes a cell when ``values_at`` or
+    ``values`` first reads it, bit-identical to ``idw_interpolate`` at its center.
+    """
 
-    def __post_init__(self):
-        vals = _readonly(np.asarray(self.values, dtype=float).ravel())
-        if vals.size != self.resolution.n_cells:
-            raise ValueError(
-                f"grid needs {self.resolution.n_cells} values, got {vals.size}"
-            )
-        if not np.all(np.isfinite(vals)):
+    def __init__(self, window: Window, resolution: GridResolution, values=None, *,
+                 samples=None, idw: IdwConfig | None = None):
+        self.window, self.resolution = window, resolution
+        n = resolution.n_cells
+        if samples is None:
+            self.samples = self.idw = None
+            self._cache = np.array(values, dtype=float).ravel()
+            if self._cache.size != n:
+                raise ValueError(f"grid needs {n} values, got {self._cache.size}")
+            if not np.isfinite(self._cache).all():
+                raise ValueError("grid values must all be finite")
+            return
+        table = np.array(samples, dtype=float)
+        if values is not None or not isinstance(idw, IdwConfig):
+            raise ValueError("a grid takes either values, or samples with an IdwConfig")
+        if table.ndim != 2 or table.shape[1] != 4 or not len(table) or not np.isfinite(table).all():
+            raise ValueError("IDW needs at least one covariate sample, as finite x, y, t, value rows")
+        # nan marks a cell not computed yet: a computed value is finite or never stored
+        self.samples, self.idw, self._cache = _readonly(table), idw, np.full(n, np.nan)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every cell's value, read-only; computes the cells not read yet."""
+        self.values_at(np.flatnonzero(np.isnan(self._cache)))
+        return _readonly(self._cache)
+
+    def values_at(self, ids) -> np.ndarray:
+        """The values of cells ``ids`` (repeats allowed); computes only the distinct cells not read yet."""
+        ids = np.asarray(ids, dtype=np.intp)
+        for i0 in range(0, ids.size, _READ_CHUNK):
+            chunk = ids[i0 : i0 + _READ_CHUNK]
+            missing = np.isnan(self._cache[chunk])
+            if missing.any():
+                self._fill(np.unique(chunk[missing]))
+        return self._cache[ids]
+
+    def _fill(self, cells: np.ndarray) -> None:
+        _idw_cells(cell_axes(self.window, self.resolution), cells, self.samples, self.idw, self._cache)
+        bad = cells[~np.isfinite(self._cache[cells])]
+        if bad.size:
+            self._cache[bad] = np.nan  # so the cell stays unread and fails again when read
             raise ValueError("grid values must all be finite")
-        object.__setattr__(self, "values", vals)
 
 
 def smooth_to_grid(
@@ -202,18 +220,18 @@ def smooth_to_grid(
     """IDW-smooth scattered samples onto the cell centers of a fine grid.
 
     With ``cfg=None`` the per-axis scaling defaults to the window lengths.
-    Cost is O(cells x samples): a 64^3 grid with 200 samples is 52 million
-    (cell, sample) pairs.
+    The grid keeps the samples and computes a cell when it is first read,
+    so the cost is O(cells read x samples), not O(cells x samples): a fit
+    and a prediction read only the cells holding their points, while the
+    whole 64^3 grid with 200 samples is 52 million (cell, sample) pairs.
     """
-    xyz, vals = _sample_arrays(samples)
     cfg = cfg if cfg is not None else IdwConfig.for_window(window)
-    return CovariateGrid(window, res, _idw_on_axes(cell_axes(window, res), xyz, vals, cfg))
+    return CovariateGrid(window, res, samples=_sample_table(samples), idw=cfg)
 
 
 def nearest_grid_value(grid: CovariateGrid, p: SpaceTimePoint) -> float:
     """Value of the grid cell containing ``p`` (its nearest center for interior points)."""
-    ids = cell_indices(grid.window, grid.resolution, [p.x], [p.y], [p.t])
-    return float(grid.values[ids[0]])
+    return float(grid.values_at(cell_indices(grid.window, grid.resolution, [p.x], [p.y], [p.t]))[0])
 
 
 class Intercept:
@@ -284,8 +302,7 @@ class ExternalCovariate:
             raise ValueError("external covariate needs a nonempty name")
 
     def evaluate(self, x, y, t) -> np.ndarray:
-        ids = cell_indices(self.grid.window, self.grid.resolution, x, y, t)
-        return self.grid.values[ids]
+        return self.grid.values_at(cell_indices(self.grid.window, self.grid.resolution, x, y, t))
 
 
 CovariateFunction = Union[Intercept, CoordinateMonomial, ExternalCovariate]

@@ -19,6 +19,7 @@ from .covariates import (
     CovariateGrid,
     CovariateSample,
     ExternalCovariate,
+    IdwConfig,
     Intercept,
 )
 from .cubature import CubatureScheme, GridResolution, ReplicatedCubatureScheme, cell_axes
@@ -247,13 +248,13 @@ def _term_to_dict(term) -> dict:
     if isinstance(term, CoordinateMonomial):
         return {"type": "monomial", "exponents": [term.x_exp, term.y_exp, term.t_exp]}
     if isinstance(term, ExternalCovariate):
-        return {
-            "type": "external",
-            "name": term.name,
-            "window": window_to_dict(term.grid.window),
-            "resolution": list(term.grid.resolution.per_axis),
-            "values": [float(v) for v in term.grid.values],
-        }
+        grid = term.grid
+        d = {"type": "external" if grid.samples is None else "external_idw", "name": term.name,
+             "window": window_to_dict(grid.window), "resolution": list(grid.resolution.per_axis)}
+        if grid.samples is None:
+            return {**d, "values": grid.values.tolist()}
+        idw = {"power": grid.idw.power, "scaling": list(grid.idw.scaling)}
+        return {**d, "idw": idw, "samples": grid.samples.tolist()}
     raise TypeError(f"cannot serialize term of type {type(term).__name__}")
 
 
@@ -263,13 +264,12 @@ def _term_from_dict(d: dict):
         return Intercept()
     if kind == "monomial":
         return CoordinateMonomial(*d["exponents"])
-    if kind == "external":
-        grid = CovariateGrid(
-            window_from_dict(d["window"]),
-            GridResolution(*d["resolution"]),
-            np.array(d["values"], dtype=float),
-        )
-        return ExternalCovariate(grid, d["name"])
+    if kind in ("external", "external_idw"):  # one value per fine cell, or the IDW samples
+        window, res = window_from_dict(d["window"]), GridResolution(*d["resolution"])
+        if kind == "external":
+            return ExternalCovariate(CovariateGrid(window, res, d["values"]), d["name"])
+        idw = IdwConfig(d["idw"]["power"], d["idw"]["scaling"])
+        return ExternalCovariate(CovariateGrid(window, res, samples=d["samples"], idw=idw), d["name"])
     raise ValueError(f"unknown term type {kind!r}")
 
 

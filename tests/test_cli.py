@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,31 @@ class TestFitCommand:
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
         assert not (workdir / "unmarked_flag.json").exists()
+
+    @pytest.mark.parametrize(
+        "pattern, mode",
+        [("u100.csv", []), ("marked.csv", ["--marked", "--interact-all"])],
+        ids=["unmarked", "interact-all"],
+    )
+    def test_mark_ridge_error_names_the_flags_it_needs(self, workdir, pattern, mode):
+        r = run_cli(
+            "fit", "--pattern", pattern, "--window", WINDOW, *mode, "--ridge-marks", "0.5",
+            "--terms", "1,x", "--grid", "6,6,6", "--out", "ridge_flags.json", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: --ridge-marks applies to --marked --shared-terms fits only")
+        assert not (workdir / "ridge_flags.json").exists()
+
+    def test_inferred_window_reaches_a_showwarning_hook(self, workdir, monkeypatch):
+        shown = []
+        monkeypatch.setattr(warnings, "showwarning", lambda message, *_: shown.append(str(message)))
+        r = run_cli(
+            "fit", "--pattern", "u100.csv", "--infer-window", "--terms", "1",
+            "--grid", "6,6,6", "--out", "minf_hook.json", cwd=workdir,
+        )
+        assert r.returncode == 0, r.stderr
+        assert len(shown) == 1 and shown[0].startswith("inferred window from data: x=(")
+        assert "inferred window" not in r.stderr
 
     def test_non_convergence_warning_is_one_stderr_line(self, workdir):
         # a subprocess, so that Python's own warning filters and output apply
@@ -615,3 +641,42 @@ class TestGoldenOutputs:
         # shows any change in the bytes it writes
         for name, data in golden_outputs(tmp_path).items():
             assert data == (FIXTURES / f"golden_{name}").read_bytes(), name
+
+
+# a covariate fit and its surface, written before the model file stored IDW
+# samples: the model JSON holds the older "external" term with one value per
+# fine cell. Regenerate them only from a checkout of that older format.
+COVARIATE_FIT = ("fit", "--pattern", "cov_u.csv", "--window", WINDOW, "--terms", "1,x,z",
+                 "--covariate", "z=cov20.csv", "--covariate-grid", "8", "--grid", "6",
+                 "--out", "covariate.json")
+COVARIATE_SURFACE = ("predict-grid", "--model", "covariate.json", "--grid", "5",
+                     "--out", "covariate_surface.csv")
+
+
+def write_covariate_inputs(d: Path) -> None:
+    """Write the seeded pattern and 20 covariate samples of ``COVARIATE_FIT`` to ``d``."""
+    rng = np.random.default_rng(2025)
+    write_pattern_csv(PointPattern.from_arrays(UNIT, *rng.random((3, 150))), d / "cov_u.csv")
+    samples = [CovariateSample(SpaceTimePoint(*rng.random(3)), float(rng.normal())) for _ in range(20)]
+    write_covariate_samples(samples, d / "cov20.csv")
+
+
+class TestCovariateModelFormats:
+    def test_older_external_model_predicts_the_same_bytes(self, tmp_path):
+        (tmp_path / "covariate.json").write_bytes((FIXTURES / "legacy_external_model.json").read_bytes())
+        assert json.loads((tmp_path / "covariate.json").read_text())["terms"][2]["type"] == "external"
+        r = run_cli(*COVARIATE_SURFACE, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        want = (FIXTURES / "legacy_external_surface.csv").read_bytes()
+        assert (tmp_path / "covariate_surface.csv").read_bytes() == want
+
+    def test_sample_model_predicts_the_older_bytes(self, tmp_path):
+        write_covariate_inputs(tmp_path)
+        for args in (COVARIATE_FIT, COVARIATE_SURFACE):
+            r = run_cli(*args, cwd=tmp_path)
+            assert r.returncode == 0, r.stderr
+        term = json.loads((tmp_path / "covariate.json").read_text())["terms"][2]
+        assert term["type"] == "external_idw" and len(term["samples"]) == 20
+        assert "values" not in term
+        want = (FIXTURES / "legacy_external_surface.csv").read_bytes()
+        assert (tmp_path / "covariate_surface.csv").read_bytes() == want

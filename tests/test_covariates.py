@@ -224,6 +224,81 @@ class TestIdwKernelMatchesDirectFormula:
             np.testing.assert_array_equal(smooth_to_grid(samples, window, res, cfg).values, want)
 
 
+@st.composite
+def lazy_problems(draw):
+    """An ``idw_problems`` draw with an IDW power other than 2."""
+    window, res, cfg, samples = draw(idw_problems())
+    power = draw(st.floats(0.5, 4.0).filter(lambda p: p != 2.0))
+    return window, res, IdwConfig(power=power, scaling=cfg.scaling), samples
+
+
+class TestLazyGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(lazy_problems(), st.data())
+    def test_values_at_is_bit_identical_to_values_and_pointwise_idw(self, problem, data):
+        window, res, cfg, samples = problem
+        grid = smooth_to_grid(samples, window, res, cfg)
+        full = smooth_to_grid(samples, window, res, cfg).values
+        centers = cell_centers(window, res)
+        some_ids = st.lists(st.integers(0, res.n_cells - 1), min_size=1, max_size=2 * res.n_cells)
+        for ids in (data.draw(some_ids), data.draw(some_ids)):
+            got = grid.values_at(ids)
+            assert got.tobytes() == full[ids].tobytes()
+            pointwise = [idw_interpolate(samples, SpaceTimePoint(*centers[i]), cfg) for i in ids]
+            assert got.tobytes() == np.array(pointwise).tobytes()
+        assert grid.values.tobytes() == full.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(idw_problems(), st.data())
+    def test_nonfinite_computed_cell_raises_when_read(self, problem, data):
+        # a sample 1e-6 scaled units from a cell center gives that cell the weight
+        # (1e-12)**-30 = inf under power 60, so its IDW value is nan
+        window, res, cfg, _ = problem
+        cell = data.draw(st.integers(0, res.n_cells - 1))
+        site = cell_centers(window, res)[cell] + np.array([1e-6 * cfg.scaling[0], 0.0, 0.0])
+        grid = smooth_to_grid([sample(*site, 1.0)], window, res, IdwConfig(60.0, cfg.scaling))
+        for _ in range(2):  # a failed cell stays unread and fails again
+            with pytest.raises(ValueError, match="grid values must all be finite"):
+                grid.values_at([cell])
+        with pytest.raises(ValueError, match="grid values must all be finite"):
+            grid.values
+
+    def test_reads_compute_each_distinct_cell_once(self, monkeypatch):
+        computed = []
+        kernel = covariates._idw_cells
+
+        def counted(axes, ix, *rest):
+            computed.append(len(ix))
+            return kernel(axes, ix, *rest)
+
+        monkeypatch.setattr(covariates, "_idw_cells", counted)
+        rng = np.random.default_rng(71)
+        grid = smooth_to_grid(random_samples(rng, UNIT, 5), UNIT, GridResolution(4, 4, 4))
+        assert computed == []
+        grid.values_at([5, 5, 7])
+        grid.values_at([7, 9, 9, 5])
+        grid.values_at([9])
+        assert computed == [2, 1]
+        grid.values
+        grid.values_at(np.arange(64))
+        assert computed == [2, 1, 61]
+
+    def test_given_values_are_never_computed(self):
+        grid = CovariateGrid(UNIT, GridResolution(2, 1, 1), np.array([5.0, 9.0]))
+        assert grid.samples is None and grid.idw is None
+        np.testing.assert_array_equal(grid.values_at([1, 1, 0]), [9.0, 9.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"samples": np.ones((3, 3)), "idw": IdwConfig()}, {"samples": np.empty((0, 4)), "idw": IdwConfig()},
+         {"samples": [[0.5, 0.5, np.inf, 1.0]], "idw": IdwConfig()}, {"samples": np.ones((1, 4))}],
+        ids=["three-columns", "empty", "nonfinite", "no-idw"],
+    )
+    def test_invalid_samples_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            CovariateGrid(UNIT, GridResolution(2, 2, 2), **kwargs)
+
+
 class TestNearestGridValue:
     def make_grid(self):
         res = GridResolution(2, 2, 2)

@@ -259,6 +259,31 @@ class TestModelJson:
             p = SpaceTimePoint(*rng.random(3))
             assert again.predict_intensity(p) == model.predict_intensity(p)
 
+    def test_covariate_term_stores_samples_not_grid_values(self, tmp_path):
+        model = self.unmarked_model()
+        save_model(model, tmp_path / "model.json")
+        term = model_to_dict(model)["terms"][2]
+        grid = model.spec.terms[2].grid
+        assert list(term) == ["type", "name", "window", "resolution", "idw", "samples"]
+        assert term["type"] == "external_idw"
+        assert term["idw"] == {"power": 2.0, "scaling": [1.0, 1.0, 1.0]}
+        again = load_model(tmp_path / "model.json").spec.terms[2].grid
+        assert again.samples.tobytes() == grid.samples.tobytes()
+        assert again.idw == grid.idw and again.resolution == grid.resolution
+        assert again.values.tobytes() == grid.values.tobytes()
+
+    def test_older_external_values_term_loads_into_a_given_grid(self):
+        model = self.unmarked_model()
+        d = model_to_dict(model)
+        grid = model.spec.terms[2].grid
+        d["terms"][2] = {"type": "external", "name": "z", "window": window_to_dict(UNIT),
+                         "resolution": [3, 3, 3], "values": grid.values.tolist()}
+        again = model_from_dict(d)
+        assert again.spec.terms[2].grid.samples is None
+        assert model_to_dict(again)["terms"][2] == d["terms"][2]
+        p = SpaceTimePoint(0.4, 0.2, 0.9)
+        assert again.predict_intensity(p) == model.predict_intensity(p)
+
     def test_marked_roundtrip(self, tmp_path):
         rng = np.random.default_rng(12)
         pts = [(SpaceTimePoint(*rng.random(3)), "A") for _ in range(20)]
