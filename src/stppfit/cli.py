@@ -33,7 +33,7 @@ from .formula import covariate_names, parse_log_linear, parse_term_list
 from .glm import FitError, IrlsConfig
 from .io import (
     SCHEMA_VERSION,
-    fmt,
+    format_rows,
     load_model,
     read_covariate_samples,
     read_json,
@@ -165,7 +165,8 @@ def _dummy_integral(window: Window, expr, res: GridResolution) -> float:
 
 def _csv_row(*cells) -> str:
     """One report row: floats as ``fmt`` text, None as an empty cell, anything else through ``str``."""
-    return ",".join("" if c is None else fmt(c) if isinstance(c, float) else str(c) for c in cells)
+    template = ",".join("" if c is None else "%.17g" if isinstance(c, float) else "%s" for c in cells)
+    return format_rows(template, *([c] for c in cells if c is not None))
 
 
 # ---------------------------------------------------------------------------

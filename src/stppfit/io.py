@@ -4,12 +4,17 @@ All CSV output is UTF-8 with `\n` line endings and floats printed with 17
 significant digits; JSON uses Python's round-tripping float repr. Outputs
 are therefore byte-deterministic for identical inputs. FORMATS.md in the
 repository root documents every column.
+
+One formatter writes every CSV: ``format_rows`` renders a block of rows as
+one ``%`` operation, and ``_write_csv`` streams such blocks to the open file.
+One parser reads every CSV: ``_read_csv`` splits a block of rows at once and
+converts each numeric column with ``map(float, ...)``. Only a block that
+fails is parsed again row by row, to name the first bad line.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +34,7 @@ from .patterns import MarkedPointPattern, MarkLevel, PointPattern, SpaceTimePoin
 
 __all__ = [
     "fmt",
+    "format_rows",
     "write_pattern_csv",
     "read_pattern_csv",
     "read_covariate_samples",
@@ -49,11 +55,36 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_CHUNK = 4096  # rows per formatted or parsed block
 
 
 def fmt(v: float) -> str:
     """Float → text with 17 significant digits (round-trips exactly)."""
     return format(float(v), ".17g")
+
+
+def format_rows(template: str, *columns) -> str:
+    """``template % row`` for each row of ``columns`` (equal-length sequences or arrays), in one
+    ``%`` operation. ``%.17g`` gives the text of ``fmt``; literal text writes each ``%`` as ``%%``."""
+    cells = [None] * (len(columns[0]) * len(columns))
+    for j, column in enumerate(columns):
+        cells[j :: len(columns)] = column.tolist() if isinstance(column, np.ndarray) else column
+    return (template * len(columns[0])) % tuple(cells)
+
+
+def _write_csv(path, header: str, blocks) -> None:
+    """Write ``header``, then each ``(template, *columns)`` block through ``format_rows``,
+    ``_CHUNK`` rows per write."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        for template, *columns in blocks:
+            for a in range(0, len(columns[0]), _CHUNK):
+                f.write(format_rows(template, *(c[a : a + _CHUNK] for c in columns)))
+
+
+def _mark_cell(label) -> str:
+    """Template text of a constant `mark` cell, `,label` with each `%` doubled; none for None."""
+    return "" if label is None else "," + label.replace("%", "%%")
 
 
 def write_json(path, obj) -> None:
@@ -82,42 +113,59 @@ def window_from_dict(d: dict) -> Window:
 
 def write_pattern_csv(pattern, path) -> None:
     """Write `x,y,t` rows, with a `mark` column for marked patterns."""
-    rows = [f"{fmt(x)},{fmt(y)},{fmt(t)}" for x, y, t in pattern.xyt.tolist()]
-    header = "x,y,t"
+    header, template, columns = "x,y,t", "%.17g,%.17g,%.17g\n", list(pattern.xyt.T)
     if isinstance(pattern, MarkedPointPattern):
-        header += ",mark"
-        labels = [lv.label for lv in pattern.levels]
-        rows = [f"{row},{labels[c]}" for row, c in zip(rows, pattern.marks.tolist())]
-    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        header, template = header + ",mark", template[:-1] + ",%s\n"
+        columns.append(np.array([lv.label for lv in pattern.levels], dtype=object)[pattern.marks])
+    _write_csv(path, header, [(template, *columns)])
 
 
 def _read_csv(path, expected_header, n_numeric):
-    """Data rows of a CSV with a fixed header: the first ``n_numeric`` columns as a finite
-    float array, and the remaining cells as one flat list. Errors name ``path:line``."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    used = [i for i, ln in enumerate(lines) if ln.strip()]
-    if not used:
+    """Data rows of a CSV with a fixed header: the first ``n_numeric`` columns as a finite float
+    array, and the stripped cells of a text column after them (a pattern's mark) as a list.
+    A UTF-8 byte-order mark and blank lines are skipped; errors name ``path:line``."""
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    rows = list(filter(str.strip, lines))
+    if not rows:
         raise ValueError(f"{path}: empty file, expected header {expected_header!r}")
-    if [c.strip() for c in lines[used[0]].split(",")] != expected_header:
-        raise ValueError(f"{path}: expected header {','.join(expected_header)!r}, got {lines[used[0]]!r}")
-    values, texts = [], []
-    for i in used[1:]:
-        cells = [c.strip() for c in lines[i].split(",")]
-        if len(cells) != len(expected_header):
-            raise ValueError(f"{path}:{i + 1}: expected {len(expected_header)} columns, got {len(cells)}")
-        if "" in cells[n_numeric:]:  # the only text column is a pattern's mark
-            raise ValueError(f"{path}:{i + 1}: mark label must be a nonempty string, got ''")
-        try:
-            values.extend([float(c) for c in cells[:n_numeric]])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i + 1}: {exc}") from None
-        texts.extend(cells[n_numeric:])
-    table = np.array(values, dtype=float).reshape(-1, n_numeric)
+    if [c.strip() for c in rows[0].split(",")] != expected_header:
+        raise ValueError(f"{path}: expected header {','.join(expected_header)!r}, got {rows[0]!r}")
+    k, n = len(expected_header), len(rows) - 1
+    table, texts = np.empty((n, n_numeric)), []
+    try:
+        for a in range(0, n, _CHUNK):
+            texts += _parse_rows(rows[1 + a : 1 + a + _CHUNK], table[a : a + _CHUNK], k)
+    except ValueError:  # a block failed: parse its rows one at a time, stripped, to name the first bad line
+        for i in [i for i, ln in enumerate(lines) if ln.strip()][1:]:
+            try:
+                _parse_rows([",".join(map(str.strip, lines[i].split(",")))], np.empty((1, n_numeric)), k)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{i + 1}: {exc}") from None
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
         r, c = bad[0]
-        raise ValueError(f"{path}:{used[r + 1] + 1}: column {expected_header[c]} must be finite, got {table[r, c]}")
+        line = [i for i, ln in enumerate(lines) if ln.strip()][r + 1] + 1
+        raise ValueError(f"{path}:{line}: column {expected_header[c]} must be finite, got {table[r, c]}")
     return table, texts
+
+
+def _parse_rows(rows, out: np.ndarray, k: int) -> list[str]:
+    """Parse ``rows`` of ``k`` cells each: the first ``out.shape[1]`` cells of each row into
+    ``out``, and return the stripped cells of the text column after them, if there is one.
+    A malformed row raises ValueError, with the reader's message when ``rows`` is one row."""
+    n_numeric = out.shape[1]
+    # Each row but the first starts with the '\n' of the join, which float() skips as
+    # whitespace. Every row has k cells exactly when there are k per row in all and
+    # each '\n' sits in the first column.
+    cells = ",\n".join(rows).split(",")
+    if len(cells) != k * len(rows) or "".join(cells[k::k]).count("\n") != len(rows) - 1:
+        raise ValueError(f"expected {k} columns, got {len(cells)}")
+    labels = list(map(str.strip, cells[n_numeric::k])) if k > n_numeric else []
+    if "" in labels:
+        raise ValueError("mark label must be a nonempty string, got ''")
+    for j in range(n_numeric):
+        out[:, j] = list(map(float, cells[j::k]))
+    return labels
 
 
 def read_pattern_csv(path, window: Window | None = None, infer_window: bool = False, marked: bool = False):
@@ -146,39 +194,34 @@ def read_covariate_samples(path) -> list[CovariateSample]:
 
 
 def write_covariate_samples(samples, path) -> None:
-    lines = ["x,y,t,value"]
-    for s in samples:
-        p = s.location
-        lines.append(f"{fmt(p.x)},{fmt(p.y)},{fmt(p.t)},{fmt(s.value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.array([(*s.location, s.value) for s in samples], dtype=float).reshape(-1, 4)
+    _write_csv(path, "x,y,t,value", [("%.17g,%.17g,%.17g,%.17g\n", *table.T)])
 
 
-def _cell_rows(window: Window, res: GridResolution) -> Iterator[str]:
-    """`x,y,t` text of every cell centre in cell-id order (x fastest), each axis value
-    formatted once; a generator, so no list of prefixes is held next to the rows."""
+def _t_slices(window: Window, res: GridResolution):
+    """The `x,y,` text of one t-slice's cell centres in cell-id order (x fastest), and the `t`
+    text and cell-id slice of every t-slice; each axis value is formatted once."""
     fx, fy, ft = ([fmt(v) for v in axis.tolist()] for axis in cell_axes(window, res))
-    return (f"{x},{y},{t}" for t in ft for y in fy for x in fx)
+    n = len(fx) * len(fy)
+    return [f"{x},{y}," for y in fy for x in fx], [(t, slice(k * n, k * n + n)) for k, t in enumerate(ft)]
 
 
 def write_grid_csv(grid: CovariateGrid, path) -> None:
     """Human-readable grid dump: one row per cell in cell-id order."""
-    cells = _cell_rows(grid.window, grid.resolution)
-    lines = ["cell_id,x_center,y_center,t_center,value"]
-    lines += [f"{i},{c},{fmt(v)}" for i, (c, v) in enumerate(zip(cells, grid.values.tolist()))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    xy, slices = _t_slices(grid.window, grid.resolution)
+    ids = range(grid.resolution.n_cells)
+    rows = ((f"%d,%s{t},%.17g\n", ids[s], xy, grid.values[s]) for t, s in slices)
+    _write_csv(path, "cell_id,x_center,y_center,t_center,value", rows)
 
 
 def write_surface_csv(path, window: Window, res: GridResolution, blocks) -> int:
     """Write `x,y,t,intensity` rows, one per cell centre in cell-id order for each
     ``(values, label)`` block, with a `mark` column when the labels are not None.
     Returns the number of rows written."""
-    marked = blocks[0][1] is not None
-    lines = ["x,y,t,intensity,mark" if marked else "x,y,t,intensity"]
-    for values, label in blocks:
-        suffix = f",{label}" if marked else ""
-        lines += [f"{c},{fmt(v)}{suffix}" for c, v in zip(_cell_rows(window, res), values.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(lines) - 1
+    xy, slices = _t_slices(window, res)
+    rows = ((f"%s{t},%.17g{_mark_cell(label)}\n", xy, values[s]) for values, label in blocks for t, s in slices)
+    _write_csv(path, "x,y,t,intensity" if blocks[0][1] is None else "x,y,t,intensity,mark", rows)
+    return res.n_cells * len(blocks)
 
 
 def save_grid(grid: CovariateGrid, header_path) -> None:
@@ -225,17 +268,15 @@ def load_grid(header_path) -> CovariateGrid:
 def write_scheme_csv(scheme, path) -> None:
     """Dump a scheme (`x,y,t,is_data,weight`, plus `mark` when replicated)."""
     if isinstance(scheme, ReplicatedCubatureScheme):
-        header = "x,y,t,is_data,weight,mark"
-        blocks = zip(scheme.is_data_by_level.tolist(), [f",{lv.label}" for lv in scheme.levels])
+        header, blocks = "x,y,t,is_data,weight,mark", zip(scheme.is_data_by_level, [lv.label for lv in scheme.levels])
     elif isinstance(scheme, CubatureScheme):
-        header = "x,y,t,is_data,weight"
-        blocks = [(scheme.is_data.tolist(), "")]
+        header, blocks = "x,y,t,is_data,weight", [(scheme.is_data, None)]
     else:
         raise TypeError(f"not a cubature scheme: {type(scheme).__name__}")
-    cells = [f"{fmt(x)},{fmt(y)},{fmt(t)}" for x, y, t in scheme.coords.tolist()]
-    weights = [fmt(w) for w in scheme.weights.tolist()]
-    rows = [f"{c},{e},{w}{label}" for es, label in blocks for c, e, w in zip(cells, es, weights)]
-    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    x, y, t = scheme.coords.T
+    rows = ((f"%.17g,%.17g,%.17g,%s,%.17g{_mark_cell(label)}\n", x, y, t, is_data, scheme.weights)
+            for is_data, label in blocks)
+    _write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------

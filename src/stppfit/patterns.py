@@ -190,6 +190,9 @@ class MarkLevel:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ValueError(f"mark label must be a nonempty string, got {self.label!r}")
+        if "," in self.label or self.label.splitlines() != [self.label] or self.label != self.label.strip():
+            raise ValueError(f"mark label {self.label!r} cannot be written to a CSV cell: it must hold no "
+                             "comma or line break and not start or end with whitespace")
         if int(self.index) != self.index or self.index < 1:
             raise ValueError(f"mark index must be a positive integer, got {self.index!r}")
         object.__setattr__(self, "index", int(self.index))

@@ -476,6 +476,21 @@ class TestPredictGridCommand:
         assert all(ln.endswith(",A") for ln in rows)
         assert len(rows) == 8
 
+    def test_percent_label_round_trips_through_fit_and_surface(self, workdir):
+        pts = [(SpaceTimePoint(*np.random.default_rng(i).random(3)), label)
+               for i, label in enumerate(["50%", "B"] * 20)]
+        write_pattern_csv(MarkedPointPattern.from_labeled(UNIT, pts), workdir / "percent.csv")
+        r = run_cli("fit", "--pattern", "percent.csv", "--window", WINDOW, "--marked", "--terms", "1",
+                    "--grid", "4", "--out", "percent.json", cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        assert [lv.label for lv in load_model(workdir / "percent.json").levels] == ["50%", "B"]
+        r = run_cli("predict-grid", "--model", "percent.json", "--grid", "2", "--mark", "50%",
+                    "--out", "percent_surface.csv", cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        rows = (workdir / "percent_surface.csv").read_text().splitlines()
+        assert rows[0] == "x,y,t,intensity,mark"
+        assert len(rows) == 9 and all(row.endswith(",50%") and row.count(",") == 4 for row in rows[1:])
+
     def test_marginal_on_unmarked_model_is_usage_error(self, fitted):
         r = run_cli(
             "predict-grid", "--model", "const.json", "--grid", "2,2,2",
@@ -610,6 +625,11 @@ GOLDEN_RUNS = [
      "--ridge-marks", "1.0", "--terms", "1,x,t", "--grid", "6", "--out", "shared_ridge.json"),
     ("predict-grid", "--model", "shared_ridge.json", "--grid", "3", "--marginal",
      "--out", "shared_ridge_marginal.csv"),
+    ("simulate", "--window", WINDOW, "--log-intensity", "5 + 0.5*x - 0.4*t", "--lambda-max", "245",
+     "--seed", "7", "--out", "simulated.csv"),
+    ("predict-grid", "--model", "interact_all.json", "--grid", "3", "--out", "interact_all_surface.csv"),
+    ("predict-grid", "--model", "interact_all.json", "--grid", "3", "--mark", "B",
+     "--out", "interact_all_surface_B.csv"),
 ]
 
 

@@ -1,8 +1,13 @@
 import re
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stppfit import (
     CoordinateMonomial,
@@ -23,6 +28,7 @@ from stppfit import (
     smooth_to_grid,
 )
 from stppfit.cubature import cell_centers
+from stppfit.patterns import MarkLevel
 from stppfit.io import (
     fmt,
     load_grid,
@@ -39,6 +45,7 @@ from stppfit.io import (
     write_grid_csv,
     write_pattern_csv,
     write_scheme_csv,
+    write_surface_csv,
 )
 
 UNIT = Window.unit_cube()
@@ -124,6 +131,128 @@ class TestPatternCsv:
         path.write_text("x,y,t,mark\n0.1,0.2,0.3,a\n0.2,0.2,0.3,\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: mark label must be a nonempty string")):
             read_pattern_csv(path, window=UNIT, marked=True)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the earlier of two bad rows of different kinds is the one reported
+            (["0.1,abc,0.3", "0.1,0.2"], "3: could not convert string to float: 'abc'"),
+            (["0.1,0.2", "0.1,abc,0.3"], "3: expected 3 columns, got 2"),
+            # one row too long and the next too short still hold 3 cells per row on average
+            (["0.1,0.2,0.3,0.4", "0.1,0.2"], "3: expected 3 columns, got 4"),
+            # a parse error beats a non-finite value on an earlier line
+            (["0.1,nan,0.3", "0.1,abc,0.3"], "4: could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_first_bad_row_is_reported(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["x,y,t", "0.5,0.5,0.5", *rows]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{message}")):
+            read_pattern_csv(path, window=UNIT)
+
+    def test_bad_rows_past_the_first_block_name_their_line(self, tmp_path):
+        lines = ["x,y,t,mark"] + ["0.5,0.5,0.5,a"] * 9000
+        lines[6000], lines[8000] = "0.5,0.5,0.5, ", "0.5,0.5"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:6001: mark label must be a nonempty string")):
+            read_pattern_csv(path, window=UNIT, marked=True)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffx,y,t,mark\r\n0.1,0.2,0.3,a\r\n", encoding="utf-8")
+        again = read_pattern_csv(path, window=UNIT, marked=True)
+        assert again.xyt.tolist() == [[0.1, 0.2, 0.3]]
+        assert [lv.label for lv in again.levels] == ["a"]
+
+    def test_percent_label_round_trips(self, tmp_path):
+        pat = MarkedPointPattern.from_labeled(UNIT, [(SpaceTimePoint(0.1, 0.2, 0.3), "50%"),
+                                                     (SpaceTimePoint(0.4, 0.5, 0.6), "%s")])
+        path = tmp_path / "marked.csv"
+        write_pattern_csv(pat, path)
+        assert path.read_text().splitlines()[1:] == ["0.10000000000000001,0.20000000000000001,0.29999999999999999,50%",
+                                                     "0.40000000000000002,0.5,0.59999999999999998,%s"]
+        again = read_pattern_csv(path, window=UNIT, marked=True)
+        assert [m.label for _, m in again.points] == ["50%", "%s"]
+
+    def test_reading_16500_rows_peaks_below_the_row_loop_parser(self, tmp_path):
+        # the per-row parser this one replaced peaked at 4.6 MB on this file
+        path = tmp_path / "pattern.csv"
+        write_pattern_csv(random_pattern(16_500, seed=9), path)
+        tracemalloc.start()
+        try:
+            read_pattern_csv(path, window=UNIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.6e6
+
+
+MAX_DOUBLE = 1.7976931348623157e308
+WIDE = Window((-MAX_DOUBLE, MAX_DOUBLE), (-MAX_DOUBLE, MAX_DOUBLE), (-MAX_DOUBLE, MAX_DOUBLE))
+# rows in every drawn pattern: signed zero, subnormals and the extremes
+EDGE_ROWS = [(-0.0, 5e-324, MAX_DOUBLE), (-MAX_DOUBLE, -5e-324, 2.2250738585072014e-308), (0.0, -1e-310, 1.0)]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# labels a CSV cell can carry: no comma, one line, no surrounding whitespace
+labels = st.text(st.characters(blacklist_characters=","), min_size=1, max_size=4).filter(
+    lambda s: s == s.strip() and s.splitlines() == [s]
+)
+
+
+class TestCsvProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(finite, finite, finite), max_size=25),
+           st.none() | st.lists(labels, min_size=1, max_size=3, unique=True), st.data())
+    def test_finite_doubles_round_trip_bit_for_bit(self, rows, levels, data):
+        xyt = np.array(EDGE_ROWS + rows, dtype=float)
+        if levels is None:
+            pat = PointPattern(WIDE, xyt)
+        else:
+            codes = data.draw(st.lists(st.integers(0, len(levels) - 1), min_size=len(xyt), max_size=len(xyt)))
+            pat = MarkedPointPattern(WIDE, xyt, np.array(codes), tuple(MarkLevel(lab, i + 1) for i, lab in enumerate(levels)))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "pattern.csv"
+            write_pattern_csv(pat, path)
+            # the reader skips blank lines and the spaces around a cell
+            lines = path.read_text(encoding="utf-8").splitlines()
+            pads = data.draw(st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=len(lines),
+                                      max_size=len(lines)))
+            text = "".join((" \n" if blank else "") + ",".join(" " * pad + c + " " * pad for c in ln.split(",")) + "\n"
+                           for ln, (pad, blank) in zip(lines, pads))
+            path.write_text(text, encoding="utf-8")
+            again = read_pattern_csv(path, window=WIDE, marked=levels is not None)
+        assert again.xyt.tobytes() == pat.xyt.tobytes()
+        if levels is not None:
+            assert [m.label for _, m in again.points] == [m.label for _, m in pat.points]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*3 * [st.integers(1, 4)]), st.floats(-1e6, 1e6), st.lists(st.none(), min_size=1, max_size=1)
+           | st.lists(labels | st.sampled_from(["50%", "%s", "%%"]), min_size=1, max_size=3), st.data())
+    def test_surface_equals_per_row_reference(self, per_axis, x0, marks, data):
+        res = GridResolution(*per_axis)
+        window = Window((x0, x0 + 3.7), (0.0, 1e-3), (2000.0, 2020.0))
+        blocks = [(np.array(data.draw(st.lists(finite, min_size=res.n_cells, max_size=res.n_cells))), m) for m in marks]
+        want = "x,y,t,intensity,mark\n" if marks[0] is not None else "x,y,t,intensity\n"
+        for values, mark in blocks:
+            suffix = "" if mark is None else f",{mark}"
+            want += "".join(f"{fmt(x)},{fmt(y)},{fmt(t)},{fmt(v)}{suffix}\n"
+                            for (x, y, t), v in zip(cell_centers(window, res).tolist(), values.tolist()))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "surface.csv"
+            assert write_surface_csv(path, window, res, blocks) == res.n_cells * len(blocks)
+            assert path.read_bytes() == want.encode("utf-8")
+
+    def test_writing_64000_surface_rows_streams(self, tmp_path):
+        # holding the whole file as text peaked at 17 MB; one t-slice at a time stays far below
+        res = GridResolution(40, 40, 40)
+        values = np.random.default_rng(10).random(res.n_cells) * 100
+        tracemalloc.start()
+        try:
+            write_surface_csv(tmp_path / "surface.csv", UNIT, res, [(values, None)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestCovariateCsv:

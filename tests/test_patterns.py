@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -170,6 +171,19 @@ class TestMarkedPattern:
         bad = SpaceTimePoint(2.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="marked point 0"):
             MarkedPointPattern(unit_window(), (bad,), [0], levels)
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\r\n", "a\x0bb", "a\u2028b", " a", "a ", "\ta"])
+    def test_label_a_csv_cell_cannot_carry_is_rejected(self, label):
+        # a comma or any line break the reader splits on (str.splitlines) splits the cell, and
+        # surrounding whitespace would read back stripped
+        with pytest.raises(ValueError, match=re.escape(f"mark label {label!r} cannot be written to a CSV cell")):
+            MarkLevel(label, 1)
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            MarkedPointPattern.from_labeled(unit_window(), [(SpaceTimePoint(0.5, 0.5, 0.5), label)])
+
+    @pytest.mark.parametrize("label", ["50%", "a b", "é", "x;y"])
+    def test_label_with_inner_space_or_symbols_is_accepted(self, label):
+        assert MarkLevel(label, 1).label == label
 
 
 class TestDuplicates:
