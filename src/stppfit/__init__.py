@@ -16,9 +16,7 @@ from .covariates import (
     ExternalCovariate,
     IdwConfig,
     Intercept,
-    evaluate_covariate,
     idw_interpolate,
-    nearest_grid_value,
     smooth_to_grid,
 )
 from .cubature import (
@@ -30,8 +28,6 @@ from .cubature import (
     approximate_integral,
     build_replicated_scheme,
     build_scheme,
-    cube_index,
-    generate_dummy_grid,
     replicated_responses,
     responses,
 )
@@ -57,7 +53,6 @@ from .model import (
 )
 from .patterns import (
     MarkedPointPattern,
-    MarkLevel,
     PointPattern,
     SpaceTimePoint,
     Window,
@@ -73,7 +68,6 @@ __all__ = [
     "SpaceTimePoint",
     "Window",
     "PointPattern",
-    "MarkLevel",
     "MarkedPointPattern",
     "split_by_mark",
     "ground_pattern",
@@ -83,8 +77,6 @@ __all__ = [
     "CubatureScheme",
     "ReplicatedCubatureScheme",
     "CubatureWarning",
-    "cube_index",
-    "generate_dummy_grid",
     "build_scheme",
     "build_replicated_scheme",
     "responses",
@@ -99,8 +91,6 @@ __all__ = [
     "ExternalCovariate",
     "idw_interpolate",
     "smooth_to_grid",
-    "nearest_grid_value",
-    "evaluate_covariate",
     "DesignMatrix",
     "IrlsConfig",
     "FitResult",

@@ -284,8 +284,10 @@ def cmd_predict_grid(ns) -> int:
             raise UsageError("--marginal applies to multitype models only")
         blocks = [(model.marginal_values(x, y, t), None)]
     elif model.is_marked:
-        levels = [model.level(ns.mark)] if ns.mark is not None else list(model.levels)
-        blocks = [(model.intensity_values(x, y, t, mark=lv), lv.label) for lv in levels]
+        if ns.mark is not None and ns.mark not in model.levels:
+            raise UsageError(f"--mark {ns.mark!r} is not one of the model's levels {list(model.levels)}")
+        labels = model.levels if ns.mark is None else [ns.mark]
+        blocks = [(model.intensity_values(x, y, t, mark=label), label) for label in labels]
     else:
         if ns.mark is not None:
             raise UsageError("--mark applies to multitype models only")

@@ -35,8 +35,6 @@ __all__ = [
     "MAX_MONOMIAL_DEGREE",
     "idw_interpolate",
     "smooth_to_grid",
-    "nearest_grid_value",
-    "evaluate_covariate",
 ]
 
 DEFAULT_FINE_RESOLUTION = GridResolution(64, 64, 64)
@@ -92,8 +90,10 @@ class IdwConfig:
 
 
 def _sample_table(samples) -> np.ndarray:
-    """The samples as an (J, 4) array of ``x, y, t, value`` rows."""
-    table = np.array([(*s.location.as_tuple(), s.value) for s in samples], dtype=float)
+    """The samples, ``CovariateSample`` objects or an (J, 4) array of ``x, y, t, value`` rows, as that array."""
+    if not isinstance(samples, np.ndarray):
+        samples = [(*s.location.as_tuple(), s.value) for s in samples]
+    table = np.array(samples, dtype=float)
     if not len(table):
         raise ValueError("IDW needs at least one covariate sample")
     return table
@@ -219,7 +219,9 @@ def smooth_to_grid(
 ) -> CovariateGrid:
     """IDW-smooth scattered samples onto the cell centers of a fine grid.
 
-    With ``cfg=None`` the per-axis scaling defaults to the window lengths.
+    ``samples`` are ``CovariateSample`` objects or an (J, 4) array of ``x, y,
+    t, value`` rows, as ``read_covariate_samples`` returns. With
+    ``cfg=None`` the per-axis scaling defaults to the window lengths.
     The grid keeps the samples and computes a cell when it is first read,
     so the cost is O(cells read x samples), not O(cells x samples): a fit
     and a prediction read only the cells holding their points, while the
@@ -227,11 +229,6 @@ def smooth_to_grid(
     """
     cfg = cfg if cfg is not None else IdwConfig.for_window(window)
     return CovariateGrid(window, res, samples=_sample_table(samples), idw=cfg)
-
-
-def nearest_grid_value(grid: CovariateGrid, p: SpaceTimePoint) -> float:
-    """Value of the grid cell containing ``p`` (its nearest center for interior points)."""
-    return float(grid.values_at(cell_indices(grid.window, grid.resolution, [p.x], [p.y], [p.t]))[0])
 
 
 class Intercept:
@@ -306,8 +303,3 @@ class ExternalCovariate:
 
 
 CovariateFunction = Union[Intercept, CoordinateMonomial, ExternalCovariate]
-
-
-def evaluate_covariate(f: CovariateFunction, p: SpaceTimePoint) -> float:
-    """Value of a covariate term at a single point."""
-    return float(f.evaluate(np.array([p.x]), np.array([p.y]), np.array([p.t]))[0])

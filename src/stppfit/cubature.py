@@ -21,9 +21,7 @@ import numpy as np
 
 from .patterns import (
     MarkedPointPattern,
-    MarkLevel,
     PointPattern,
-    SpaceTimePoint,
     Window,
     _readonly,
     _validated_marks,
@@ -37,10 +35,8 @@ __all__ = [
     "CubatureWarning",
     "CubatureScheme",
     "ReplicatedCubatureScheme",
-    "cube_index",
     "cell_axes",
     "cell_centers",
-    "generate_dummy_grid",
     "build_scheme",
     "build_replicated_scheme",
     "responses",
@@ -109,11 +105,6 @@ def cell_indices(window: Window, res: GridResolution, x, y, t) -> np.ndarray:
     return ix + res.nx * (iy + res.ny * it)
 
 
-def cube_index(window: Window, res: GridResolution, p: SpaceTimePoint) -> int:
-    """Cell id of a single point, in 0 .. n_cells - 1."""
-    return int(cell_indices(window, res, [p.x], [p.y], [p.t])[0])
-
-
 def cell_axes(window: Window, res: GridResolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cell-center coordinates along x, y and t; the centers are their tensor product."""
     axes = []
@@ -128,11 +119,6 @@ def cell_centers(window: Window, res: GridResolution) -> np.ndarray:
     ax, ay, at = cell_axes(window, res)
     tt, yy, xx = np.meshgrid(at, ay, ax, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel(), tt.ravel()])
-
-
-def generate_dummy_grid(window: Window, res: GridResolution) -> list[SpaceTimePoint]:
-    """Dummy points at the cell centers of the partition, in cell-id order."""
-    return [SpaceTimePoint(*row) for row in cell_centers(window, res)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +158,6 @@ class CubatureScheme:
     @property
     def size(self) -> int:
         return self.n_data + self.n_dummy
-
-    @property
-    def points(self) -> tuple[SpaceTimePoint, ...]:
-        return tuple(SpaceTimePoint(*row) for row in self.coords)
 
 
 def build_scheme(pattern: PointPattern, res: GridResolution = DEFAULT_RESOLUTION) -> CubatureScheme:
@@ -227,7 +209,7 @@ class ReplicatedCubatureScheme(CubatureScheme):
     read-only (M, K) arrays derived from ``weights`` and ``marks``.
     """
 
-    levels: tuple[MarkLevel, ...]
+    levels: tuple[str, ...]
     marks: np.ndarray  # (n_data,) positions into levels, in data-row order
 
     def __post_init__(self):
@@ -248,9 +230,6 @@ class ReplicatedCubatureScheme(CubatureScheme):
         e = np.zeros((self.n_levels, self.size), dtype=np.uint8)
         e[self.marks, np.flatnonzero(self.is_data)] = 1
         return _readonly(e)
-
-    def n_by_level(self) -> dict[MarkLevel, int]:
-        return dict(zip(self.levels, np.bincount(self.marks, minlength=self.n_levels).tolist()))
 
 
 def build_replicated_scheme(

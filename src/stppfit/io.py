@@ -1,4 +1,4 @@
-"""File formats: pattern/covariate/scheme CSV, grid sidecars, model JSON.
+"""File formats: pattern, covariate-sample and surface CSV, model JSON.
 
 All CSV output is UTF-8 with `\n` line endings and floats printed with 17
 significant digits; JSON uses Python's round-tripping float repr. Outputs
@@ -19,18 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariates import (
-    CoordinateMonomial,
-    CovariateGrid,
-    CovariateSample,
-    ExternalCovariate,
-    IdwConfig,
-    Intercept,
-)
-from .cubature import CubatureScheme, GridResolution, ReplicatedCubatureScheme, cell_axes
+from .covariates import CoordinateMonomial, CovariateGrid, ExternalCovariate, IdwConfig, Intercept
+from .cubature import GridResolution, cell_axes
 from .glm import FitResult
 from .model import FittedModel, MarkFixedEffects, ModelSpec
-from .patterns import MarkedPointPattern, MarkLevel, PointPattern, SpaceTimePoint, Window, _mark_codes
+from .patterns import MarkedPointPattern, PointPattern, Window, _mark_codes
 
 __all__ = [
     "fmt",
@@ -39,11 +32,7 @@ __all__ = [
     "read_pattern_csv",
     "read_covariate_samples",
     "write_covariate_samples",
-    "write_scheme_csv",
-    "write_grid_csv",
     "write_surface_csv",
-    "save_grid",
-    "load_grid",
     "save_model",
     "load_model",
     "model_to_dict",
@@ -82,11 +71,6 @@ def _write_csv(path, header: str, blocks) -> None:
                 f.write(format_rows(template, *(c[a : a + _CHUNK] for c in columns)))
 
 
-def _mark_cell(label) -> str:
-    """Template text of a constant `mark` cell, `,label` with each `%` doubled; none for None."""
-    return "" if label is None else "," + label.replace("%", "%%")
-
-
 def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
@@ -116,7 +100,7 @@ def write_pattern_csv(pattern, path) -> None:
     header, template, columns = "x,y,t", "%.17g,%.17g,%.17g\n", list(pattern.xyt.T)
     if isinstance(pattern, MarkedPointPattern):
         header, template = header + ",mark", template[:-1] + ",%s\n"
-        columns.append(np.array([lv.label for lv in pattern.levels], dtype=object)[pattern.marks])
+        columns.append(np.array(pattern.levels, dtype=object)[pattern.marks])
     _write_csv(path, header, [(template, *columns)])
 
 
@@ -185,12 +169,12 @@ def read_pattern_csv(path, window: Window | None = None, infer_window: bool = Fa
 
 
 # ---------------------------------------------------------------------------
-# covariate samples and grids
+# covariate samples and intensity surfaces
 
 
-def read_covariate_samples(path) -> list[CovariateSample]:
-    table, _ = _read_csv(path, ["x", "y", "t", "value"], 4)
-    return [CovariateSample(SpaceTimePoint(x, y, t), v) for x, y, t, v in table.tolist()]
+def read_covariate_samples(path) -> np.ndarray:
+    """The samples as an (J, 4) array of finite ``x, y, t, value`` rows, in file order."""
+    return _read_csv(path, ["x", "y", "t", "value"], 4)[0]
 
 
 def write_covariate_samples(samples, path) -> None:
@@ -198,85 +182,19 @@ def write_covariate_samples(samples, path) -> None:
     _write_csv(path, "x,y,t,value", [("%.17g,%.17g,%.17g,%.17g\n", *table.T)])
 
 
-def _t_slices(window: Window, res: GridResolution):
-    """The `x,y,` text of one t-slice's cell centres in cell-id order (x fastest), and the `t`
-    text and cell-id slice of every t-slice; each axis value is formatted once."""
-    fx, fy, ft = ([fmt(v) for v in axis.tolist()] for axis in cell_axes(window, res))
-    n = len(fx) * len(fy)
-    return [f"{x},{y}," for y in fy for x in fx], [(t, slice(k * n, k * n + n)) for k, t in enumerate(ft)]
-
-
-def write_grid_csv(grid: CovariateGrid, path) -> None:
-    """Human-readable grid dump: one row per cell in cell-id order."""
-    xy, slices = _t_slices(grid.window, grid.resolution)
-    ids = range(grid.resolution.n_cells)
-    rows = ((f"%d,%s{t},%.17g\n", ids[s], xy, grid.values[s]) for t, s in slices)
-    _write_csv(path, "cell_id,x_center,y_center,t_center,value", rows)
-
-
 def write_surface_csv(path, window: Window, res: GridResolution, blocks) -> int:
     """Write `x,y,t,intensity` rows, one per cell centre in cell-id order for each
     ``(values, label)`` block, with a `mark` column when the labels are not None.
     Returns the number of rows written."""
-    xy, slices = _t_slices(window, res)
-    rows = ((f"%s{t},%.17g{_mark_cell(label)}\n", xy, values[s]) for values, label in blocks for t, s in slices)
+    # each axis value is formatted once; `xy` is the `x,y,` text of one t-slice, x fastest
+    fx, fy, ft = ([fmt(v) for v in axis.tolist()] for axis in cell_axes(window, res))
+    xy, n = [f"{x},{y}," for y in fy for x in fx], len(fx) * len(fy)
+    rows = []
+    for values, label in blocks:
+        mark = "" if label is None else "," + label.replace("%", "%%")  # literal text in the template
+        rows += [(f"%s{t},%.17g{mark}\n", xy, values[k * n : k * n + n]) for k, t in enumerate(ft)]
     _write_csv(path, "x,y,t,intensity" if blocks[0][1] is None else "x,y,t,intensity,mark", rows)
     return res.n_cells * len(blocks)
-
-
-def save_grid(grid: CovariateGrid, header_path) -> None:
-    """Bit-exact grid storage: JSON header plus raw little-endian float64 sidecar."""
-    header_path = Path(header_path)
-    bin_path = header_path.with_suffix(".bin")
-    header = {
-        "schema_version": SCHEMA_VERSION,
-        "window": window_to_dict(grid.window),
-        "resolution": list(grid.resolution.per_axis),
-        "count": int(grid.values.size),
-        "dtype": "<f8",
-        "sidecar": bin_path.name,
-    }
-    write_json(header_path, header)
-    bin_path.write_bytes(grid.values.astype("<f8").tobytes())
-
-
-def load_grid(header_path) -> CovariateGrid:
-    header_path = Path(header_path)
-    header = read_json(header_path)
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"{header_path}: unsupported schema version {header.get('schema_version')!r}")
-    count = header["count"]
-    bin_path = header_path.parent / header["sidecar"]
-    raw = bin_path.read_bytes()
-    if len(raw) != 8 * count:
-        raise ValueError(
-            f"{bin_path}: grid sidecar should hold {8 * count} bytes "
-            f"({count} float64 values), found {len(raw)}"
-        )
-    values = np.frombuffer(raw, dtype="<f8")
-    return CovariateGrid(
-        window_from_dict(header["window"]),
-        GridResolution(*header["resolution"]),
-        values,
-    )
-
-
-# ---------------------------------------------------------------------------
-# cubature schemes
-
-
-def write_scheme_csv(scheme, path) -> None:
-    """Dump a scheme (`x,y,t,is_data,weight`, plus `mark` when replicated)."""
-    if isinstance(scheme, ReplicatedCubatureScheme):
-        header, blocks = "x,y,t,is_data,weight,mark", zip(scheme.is_data_by_level, [lv.label for lv in scheme.levels])
-    elif isinstance(scheme, CubatureScheme):
-        header, blocks = "x,y,t,is_data,weight", [(scheme.is_data, None)]
-    else:
-        raise TypeError(f"not a cubature scheme: {type(scheme).__name__}")
-    x, y, t = scheme.coords.T
-    rows = ((f"%.17g,%.17g,%.17g,%s,%.17g{_mark_cell(label)}\n", x, y, t, is_data, scheme.weights)
-            for is_data, label in blocks)
-    _write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +241,7 @@ def model_to_dict(model: FittedModel) -> dict:
         "grid_resolution": list(model.resolution.per_axis),
         "n_data": model.n_data,
         "n_dummy": model.n_dummy,
-        "levels": [{"label": lv.label, "index": lv.index} for lv in model.levels],
+        "levels": [{"label": label, "index": i} for i, label in enumerate(model.levels, start=1)],
         "multitype_mode": None if mode is None else {"interact_all": mode.interact_all},
         "ridge_on_marks": model.spec.ridge_on_marks,
         "terms": [_term_to_dict(t) for t in model.spec.terms],
@@ -346,6 +264,9 @@ def model_to_dict(model: FittedModel) -> dict:
 def model_from_dict(d: dict) -> FittedModel:
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {d.get('schema_version')!r}")
+    indices = [lv["index"] for lv in d["levels"]]
+    if indices != list(range(1, len(indices) + 1)):
+        raise ValueError(f"level indices must be the 1-based positions 1..{len(indices)} in order, got {indices}")
     mode = d["multitype_mode"]
     spec = ModelSpec(
         terms=tuple(_term_from_dict(t) for t in d["terms"]),
@@ -369,7 +290,7 @@ def model_from_dict(d: dict) -> FittedModel:
         n_dummy=int(d["n_dummy"]),
         fit=fit,
         column_names=tuple(c["name"] for c in d["coefficients"]),
-        levels=tuple(MarkLevel(lv["label"], lv["index"]) for lv in d["levels"]),
+        levels=tuple(lv["label"] for lv in d["levels"]),
     )
 
 

@@ -15,7 +15,7 @@ stores only B, so its memory grows linearly in M; an unmarked fit is the
 case M = 1. The second is a dense (M*K) x (p+M-1) matrix.
 ``_column_names`` is the one statement of the coefficient layout (a
 model's names must equal it), and ``FittedModel._coefs`` the one place
-that resolves a mark argument.
+that resolves a mark label.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .cubature import (
     responses,
 )
 from .glm import DesignMatrix, FitResult, IrlsConfig, fit_irls
-from .patterns import MarkedPointPattern, MarkLevel, PointPattern, SpaceTimePoint, Window
+from .patterns import MarkedPointPattern, PointPattern, SpaceTimePoint, Window, _validated_marks
 
 __all__ = [
     "MarkFixedEffects",
@@ -115,8 +115,8 @@ def _column_names(spec: ModelSpec, levels) -> tuple[str, ...]:
     if not levels:
         return spec.term_names
     if spec.multitype_mode.interact_all:
-        return tuple(f"{lv.label}:{name}" for lv in levels for name in spec.term_names)
-    return spec.term_names + tuple(f"mark[{lv.label}]" for lv in levels[1:])
+        return tuple(f"{label}:{name}" for label in levels for name in spec.term_names)
+    return spec.term_names + tuple(f"mark[{label}]" for label in levels[1:])
 
 
 def _expand_multitype(base: np.ndarray, m: int) -> np.ndarray:
@@ -141,10 +141,12 @@ class FittedModel:
     n_dummy: int
     fit: FitResult
     column_names: tuple[str, ...]
-    levels: tuple[MarkLevel, ...] = ()
+    levels: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
+        if self.levels:
+            _validated_marks((), 0, self.levels)  # the label rules of a marked pattern
         object.__setattr__(self, "column_names", tuple(self.column_names))
         if len(self.column_names) != self.fit.coefficients.size:
             raise ValueError("one column name per fitted coefficient is required")
@@ -177,28 +179,19 @@ class FittedModel:
             for name, est, se in zip(self.column_names, self.fit.coefficients, ses)
         ]
 
-    def level(self, mark) -> MarkLevel:
-        """Resolve a MarkLevel or label string to one of this model's levels."""
-        if isinstance(mark, MarkLevel):
-            if mark in self.levels:
-                return mark
-            raise KeyError(f"unknown mark level {mark.label!r}")
-        for lv in self.levels:
-            if lv.label == mark:
-                return lv
-        raise KeyError(f"unknown mark label {mark!r}")
-
     def _coefs(self, mark) -> tuple[np.ndarray, float]:
-        """Per-term coefficients and additive log offset for ``mark``, which is
-        required (a level or label) exactly when the model is marked."""
+        """Per-term coefficients and additive log offset for the level labelled
+        ``mark``, which is required exactly when the model is marked."""
         if not self.is_marked:
             if mark is not None:
                 raise ValueError("this model is unmarked: no mark argument applies")
             return self.fit.coefficients, 0.0
         if mark is None:
-            raise ValueError("this model is marked: pass mark=<level or label>")
+            raise ValueError("this model is marked: pass mark=<label>")
+        if mark not in self.levels:
+            raise KeyError(f"unknown mark label {mark!r}")
         p = len(self.spec.terms)
-        pos = self.levels.index(self.level(mark))
+        pos = self.levels.index(mark)
         if self.spec.multitype_mode.interact_all:
             return self.fit.coefficients[pos * p : (pos + 1) * p], 0.0
         offset = 0.0 if pos == 0 else float(self.fit.coefficients[p + pos - 1])
@@ -230,8 +223,8 @@ class FittedModel:
             raise ValueError("marginal intensity is defined for marked models only")
         terms = _term_matrix(self.spec.terms, np.column_stack([x, y, t]))
         out = np.zeros(terms.shape[0])
-        for lv in self.levels:
-            coefs, offset = self._coefs(lv)
+        for label in self.levels:
+            coefs, offset = self._coefs(label)
             out += np.exp(terms @ coefs + offset)
         return out
 
@@ -247,7 +240,7 @@ class FittedModel:
 
 
 def _fit(scheme: CubatureScheme, spec: ModelSpec, irls: IrlsConfig | None,
-         levels: tuple[MarkLevel, ...] = ()) -> FittedModel:
+         levels: tuple[str, ...] = ()) -> FittedModel:
     """Fit ``spec`` on ``scheme``, which is replicated exactly when ``levels`` is
     not empty: one weighted Poisson regression over one level-major copy of the
     cubature rows per mark level (one copy when unmarked)."""
@@ -308,7 +301,7 @@ def fit_multitype(
         raise ValueError("pattern has no marks: use fit_stpp")
     if len(pattern.levels) < 2:
         raise ValueError("single mark level: fit the ground pattern with fit_stpp")
-    empty = [lv.label for lv, c in pattern.counts_by_level().items() if c == 0]
+    empty = [label for label, c in pattern.counts_by_level().items() if c == 0]
     if empty:
         raise ValueError(
             f"mark level(s) {empty} have no points; their intensity estimate "

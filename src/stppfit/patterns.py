@@ -21,7 +21,6 @@ __all__ = [
     "SpaceTimePoint",
     "Window",
     "PointPattern",
-    "MarkLevel",
     "MarkedPointPattern",
     "split_by_mark",
     "ground_pattern",
@@ -180,33 +179,19 @@ class PointPattern:
         return tuple(map(SpaceTimePoint._make, self.xyt.tolist()))
 
 
-@dataclass(frozen=True)
-class MarkLevel:
-    """A categorical mark value: a label plus its 1-based index."""
-
-    label: str
-    index: int
-
-    def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
-            raise ValueError(f"mark label must be a nonempty string, got {self.label!r}")
-        if "," in self.label or self.label.splitlines() != [self.label] or self.label != self.label.strip():
-            raise ValueError(f"mark label {self.label!r} cannot be written to a CSV cell: it must hold no "
-                             "comma or line break and not start or end with whitespace")
-        if int(self.index) != self.index or self.index < 1:
-            raise ValueError(f"mark index must be a positive integer, got {self.index!r}")
-        object.__setattr__(self, "index", int(self.index))
-
-
-def _validated_marks(marks, n: int, levels: tuple[MarkLevel, ...]) -> np.ndarray:
-    """Check a level set and ``n`` integer codes into it; return the codes as a read-only copy."""
+def _validated_marks(marks, n: int, levels: tuple[str, ...]) -> np.ndarray:
+    """Check level labels, which must each fit one CSV cell, and ``n`` integer codes into them;
+    return the codes as a read-only copy."""
     if not levels:
         raise ValueError("a marked pattern needs at least one mark level")
-    labels = [lv.label for lv in levels]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"mark labels must be distinct, got {labels}")
-    if sorted(lv.index for lv in levels) != list(range(1, len(levels) + 1)):
-        raise ValueError("mark indices must be a bijection onto 1..M")
+    for label in levels:
+        if not isinstance(label, str) or not label:
+            raise ValueError(f"mark label must be a nonempty string, got {label!r}")
+        if "," in label or label.splitlines() != [label] or label != label.strip():
+            raise ValueError(f"mark label {label!r} cannot be written to a CSV cell: it must hold no "
+                             "comma or line break and not start or end with whitespace")
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"mark labels must be distinct, got {list(levels)}")
     codes = np.asarray(marks)
     if codes.shape != (n,) or (codes.size and codes.dtype.kind not in "iu"):
         raise ValueError(f"need {n} integer mark codes, got {codes.dtype} of shape {codes.shape}")
@@ -217,19 +202,20 @@ def _validated_marks(marks, n: int, levels: tuple[MarkLevel, ...]) -> np.ndarray
     return _readonly(codes.astype(np.intp))
 
 
-def _mark_codes(labels) -> tuple[np.ndarray, tuple[MarkLevel, ...]]:
-    """Levels from the sorted unique labels, and each label's 0-based position among them."""
+def _mark_codes(labels) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each label's 0-based position among the levels, and the levels: the sorted unique labels."""
     if not len(labels):
         raise ValueError("cannot derive mark levels from an empty pattern; pass levels explicitly")
-    unique, codes = np.unique(np.array(labels, dtype=object), return_inverse=True)
-    return codes, tuple(MarkLevel(lab, i + 1) for i, lab in enumerate(unique))
+    levels = tuple(sorted(set(labels)))
+    position = {label: i for i, label in enumerate(levels)}
+    return np.fromiter(map(position.__getitem__, labels), dtype=np.intp, count=len(labels)), levels
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class MarkedPointPattern:
     """Pattern whose events carry a categorical mark from a fixed level set.
 
-    ``marks[i]`` is the 0-based position of event i's level in ``levels``.
+    ``marks[i]`` is the 0-based position of event i's label in ``levels``.
     The per-level sub-patterns partition the ground (location-only)
     pattern; every declared level is allowed to be empty.
     """
@@ -237,7 +223,7 @@ class MarkedPointPattern:
     window: Window
     xyt: np.ndarray
     marks: np.ndarray
-    levels: tuple[MarkLevel, ...]
+    levels: tuple[str, ...]
 
     def __init__(self, window: Window, xyt=(), marks=(), levels=()):
         xyt = _validated_xyt(window, xyt, "marked point")
@@ -258,23 +244,23 @@ class MarkedPointPattern:
         return len(self.xyt)
 
     @property
-    def points(self) -> tuple[tuple[SpaceTimePoint, MarkLevel], ...]:
-        """(``SpaceTimePoint``, ``MarkLevel``) pairs, built on each access."""
+    def points(self) -> tuple[tuple[SpaceTimePoint, str], ...]:
+        """(``SpaceTimePoint``, label) pairs, built on each access."""
         levels = [self.levels[c] for c in self.marks.tolist()]
         return tuple(zip(map(SpaceTimePoint._make, self.xyt.tolist()), levels))
 
-    def counts_by_level(self) -> dict[MarkLevel, int]:
+    def counts_by_level(self) -> dict[str, int]:
         return dict(zip(self.levels, np.bincount(self.marks, minlength=len(self.levels)).tolist()))
 
 
-def split_by_mark(pattern: MarkedPointPattern) -> dict[MarkLevel, PointPattern]:
-    """Partition a marked pattern into one sub-pattern per mark level.
+def split_by_mark(pattern: MarkedPointPattern) -> dict[str, PointPattern]:
+    """Partition a marked pattern into one sub-pattern per mark level, keyed by label.
 
     Sub-patterns share the window, preserve within-level order, and their
     counts sum to the ground count.
     """
     window, xyt, marks = pattern.window, pattern.xyt, pattern.marks
-    return {lv: PointPattern(window, xyt[marks == i]) for i, lv in enumerate(pattern.levels)}
+    return {label: PointPattern(window, xyt[marks == i]) for i, label in enumerate(pattern.levels)}
 
 
 def ground_pattern(pattern: MarkedPointPattern) -> PointPattern:

@@ -483,13 +483,22 @@ class TestPredictGridCommand:
         r = run_cli("fit", "--pattern", "percent.csv", "--window", WINDOW, "--marked", "--terms", "1",
                     "--grid", "4", "--out", "percent.json", cwd=workdir)
         assert r.returncode == 0, r.stderr
-        assert [lv.label for lv in load_model(workdir / "percent.json").levels] == ["50%", "B"]
+        assert load_model(workdir / "percent.json").levels == ("50%", "B")
         r = run_cli("predict-grid", "--model", "percent.json", "--grid", "2", "--mark", "50%",
                     "--out", "percent_surface.csv", cwd=workdir)
         assert r.returncode == 0, r.stderr
         rows = (workdir / "percent_surface.csv").read_text().splitlines()
         assert rows[0] == "x,y,t,intensity,mark"
         assert len(rows) == 9 and all(row.endswith(",50%") and row.count(",") == 4 for row in rows[1:])
+
+    def test_unknown_mark_is_usage_error_naming_the_levels(self, fitted):
+        r = run_cli(
+            "predict-grid", "--model", "marked.json", "--grid", "2,2,2",
+            "--mark", "Z", "--out", "z.csv", cwd=fitted,
+        )
+        assert r.returncode == 2
+        assert r.stderr == "error: --mark 'Z' is not one of the model's levels ['A', 'B']\n"
+        assert not (fitted / "z.csv").exists()
 
     def test_marginal_on_unmarked_model_is_usage_error(self, fitted):
         r = run_cli(

@@ -13,13 +13,11 @@ from stppfit import (
     Intercept,
     SpaceTimePoint,
     Window,
-    evaluate_covariate,
     idw_interpolate,
-    nearest_grid_value,
     smooth_to_grid,
 )
 from stppfit import covariates
-from stppfit.cubature import cell_centers, cube_index
+from stppfit.cubature import cell_centers, cell_indices
 
 UNIT = Window.unit_cube()
 
@@ -143,11 +141,8 @@ class TestSmoothToGrid:
         samples = [sample(0.2, 0.3, 0.4, -2.0), sample(0.8, 0.7, 0.6, 2.0)]
         res = GridResolution(4, 4, 4)
         grid = smooth_to_grid(samples, UNIT, res)
-        centers = cell_centers(UNIT, res)
-        for cell, center in enumerate(centers):
-            mirrored = SpaceTimePoint(1 - center[0], 1 - center[1], 1 - center[2])
-            partner = cube_index(UNIT, res, mirrored)
-            assert abs(grid.values[cell] + grid.values[partner]) < 1e-10
+        partners = cell_indices(UNIT, res, *(1 - cell_centers(UNIT, res).T))
+        assert (abs(grid.values + grid.values[partners]) < 1e-10).all()
 
     def test_values_in_cell_id_order(self):
         samples = [sample(0.0, 0.5, 0.5, 0.0), sample(1.0, 0.5, 0.5, 1.0)]
@@ -300,40 +295,34 @@ class TestLazyGrid:
 
 
 class TestNearestGridValue:
-    def make_grid(self):
-        res = GridResolution(2, 2, 2)
-        return CovariateGrid(UNIT, res, np.arange(8.0))
+    """An external covariate reads the value of the grid cell containing each point."""
+
+    def make_term(self):
+        return ExternalCovariate(CovariateGrid(UNIT, GridResolution(2, 2, 2), np.arange(8.0)), "z")
 
     def test_cell_center_hits_its_cell(self):
-        grid = self.make_grid()
-        assert nearest_grid_value(grid, SpaceTimePoint(0.25, 0.25, 0.25)) == 0.0
-        assert nearest_grid_value(grid, SpaceTimePoint(0.75, 0.75, 0.75)) == 7.0
+        assert self.make_term().evaluate([0.25, 0.75], [0.25, 0.75], [0.25, 0.75]).tolist() == [0.0, 7.0]
 
     def test_upper_corner_clamps_to_last_cell(self):
-        grid = self.make_grid()
-        assert nearest_grid_value(grid, SpaceTimePoint(1.0, 1.0, 1.0)) == 7.0
+        assert self.make_term().evaluate([1.0], [1.0], [1.0]).tolist() == [7.0]
 
     def test_interior_boundary_sides(self):
-        grid = self.make_grid()
-        below = nearest_grid_value(grid, SpaceTimePoint(0.5 - 1e-9, 0.25, 0.25))
-        above = nearest_grid_value(grid, SpaceTimePoint(0.5, 0.25, 0.25))
-        assert (below, above) == (0.0, 1.0)
+        below_above = self.make_term().evaluate([0.5 - 1e-9, 0.5], [0.25, 0.25], [0.25, 0.25])
+        assert below_above.tolist() == [0.0, 1.0]
 
     def test_outside_window_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            nearest_grid_value(self.make_grid(), SpaceTimePoint(1.5, 0.5, 0.5))
+            self.make_term().evaluate([1.5], [0.5], [0.5])
 
     def test_equals_idw_at_containing_cell_center(self):
         rng = np.random.default_rng(41)
         samples = random_samples(rng, UNIT, 7)
         res = GridResolution(3, 3, 3)
         cfg = IdwConfig.for_window(UNIT)
-        grid = smooth_to_grid(samples, UNIT, res, cfg)
-        for _ in range(20):
-            p = SpaceTimePoint(*rng.random(3))
-            cell = cube_index(UNIT, res, p)
-            center = SpaceTimePoint(*cell_centers(UNIT, res)[cell])
-            assert nearest_grid_value(grid, p) == idw_interpolate(samples, center, cfg)
+        pts = rng.random((20, 3))
+        values = ExternalCovariate(smooth_to_grid(samples, UNIT, res, cfg), "z").evaluate(*pts.T)
+        centers = cell_centers(UNIT, res)[cell_indices(UNIT, res, *pts.T)]
+        assert values.tolist() == [idw_interpolate(samples, SpaceTimePoint(*c), cfg) for c in centers]
 
 
 class TestCovariateGridValidation:
@@ -350,16 +339,16 @@ class TestCovariateGridValidation:
 
 class TestCovariateFunctions:
     def test_intercept_is_one(self):
-        assert evaluate_covariate(Intercept(), SpaceTimePoint(0.3, 0.9, 2.0)) == 1.0
+        assert Intercept().evaluate([0.3], [0.9], [2.0]).tolist() == [1.0]
 
     def test_monomial_example(self):
         f = CoordinateMonomial(1, 0, 2)
-        assert evaluate_covariate(f, SpaceTimePoint(2.0, 5.0, 3.0)) == 18.0
+        assert f.evaluate([2.0], [5.0], [3.0]).tolist() == [18.0]
 
     def test_degenerate_monomial_is_intercept(self):
         f = CoordinateMonomial(0, 0, 0)
         assert f.name == "1"
-        assert evaluate_covariate(f, SpaceTimePoint(9.0, 9.0, 9.0)) == 1.0
+        assert f.evaluate([9.0], [9.0], [9.0]).tolist() == [1.0]
 
     def test_monomial_names(self):
         assert CoordinateMonomial(1, 0, 0).name == "x"
@@ -378,8 +367,7 @@ class TestCovariateFunctions:
     def test_external_lookup(self):
         grid = CovariateGrid(UNIT, GridResolution(2, 1, 1), np.array([5.0, 9.0]))
         f = ExternalCovariate(grid, "elevation")
-        assert evaluate_covariate(f, SpaceTimePoint(0.1, 0.5, 0.5)) == 5.0
-        assert evaluate_covariate(f, SpaceTimePoint(0.9, 0.5, 0.5)) == 9.0
+        assert f.evaluate([0.1, 0.9], [0.5, 0.5], [0.5, 0.5]).tolist() == [5.0, 9.0]
         assert f.name == "elevation"
 
     def test_external_outside_grid_window_rejected(self):
@@ -396,4 +384,4 @@ class TestCovariateFunctions:
         for f in terms:
             vec = f.evaluate(pts[:, 0], pts[:, 1], pts[:, 2])
             for k in range(10):
-                assert vec[k] == evaluate_covariate(f, SpaceTimePoint(*pts[k]))
+                assert vec[k] == f.evaluate(*pts[k : k + 1].T)[0]

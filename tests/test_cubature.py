@@ -11,7 +11,6 @@ from stppfit import (
     CubatureWarning,
     GridResolution,
     MarkedPointPattern,
-    MarkLevel,
     PointPattern,
     ReplicatedCubatureScheme,
     SpaceTimePoint,
@@ -19,13 +18,11 @@ from stppfit import (
     approximate_integral,
     build_replicated_scheme,
     build_scheme,
-    cube_index,
-    generate_dummy_grid,
     ground_pattern,
     replicated_responses,
     responses,
 )
-from stppfit.cubature import WEIGHT_SUM_RTOL, cell_axes
+from stppfit.cubature import WEIGHT_SUM_RTOL, cell_axes, cell_centers, cell_indices
 
 UNIT = Window.unit_cube()
 
@@ -33,7 +30,7 @@ UNIT = Window.unit_cube()
 def reference_cell_id(window, res, p):
     """Independent binning: plain floor arithmetic, boundary up, clamped top."""
     ids = []
-    for (lo, hi), n, v in zip(window.ranges, res.per_axis, p.as_tuple()):
+    for (lo, hi), n, v in zip(window.ranges, res.per_axis, p):
         i = math.floor((v - lo) * n / (hi - lo))
         ids.append(min(max(i, 0), n - 1))
     return ids[0] + res.nx * (ids[1] + res.ny * ids[2])
@@ -41,8 +38,7 @@ def reference_cell_id(window, res, p):
 
 def reference_weights(window, res, points):
     """Hand version of the weight rule: cell volume over shared-cell count."""
-    centers = [p for p in generate_dummy_grid(window, res)]
-    everyone = list(points) + centers
+    everyone = list(points) + cell_centers(window, res).tolist()
     counts = {}
     for p in everyone:
         counts[reference_cell_id(window, res, p)] = counts.get(reference_cell_id(window, res, p), 0) + 1
@@ -63,48 +59,50 @@ class TestGridResolution:
 
 
 class TestDummyGrid:
+    """``cell_centers``: the dummy points, one per cell in cell-id order."""
+
     def test_single_cell_center(self):
-        (p,) = generate_dummy_grid(UNIT, GridResolution(1, 1, 1))
-        assert p.as_tuple() == (0.5, 0.5, 0.5)
+        assert cell_centers(UNIT, GridResolution(1, 1, 1)).tolist() == [[0.5, 0.5, 0.5]]
 
     def test_two_cells_along_x(self):
-        pts = generate_dummy_grid(UNIT, GridResolution(2, 1, 1))
-        assert [p.as_tuple() for p in pts] == [(0.25, 0.5, 0.5), (0.75, 0.5, 0.5)]
+        pts = cell_centers(UNIT, GridResolution(2, 1, 1))
+        assert pts.tolist() == [[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]]
 
     def test_box_of_side_two(self):
-        pts = generate_dummy_grid(Window.from_bounds(0, 2, 0, 2, 0, 2), GridResolution(2, 2, 2))
-        assert len(pts) == 8
-        for p in pts:
-            assert all(c in (0.5, 1.5) for c in p.as_tuple())
+        pts = cell_centers(Window.from_bounds(0, 2, 0, 2, 0, 2), GridResolution(2, 2, 2))
+        assert pts.shape == (8, 3)
+        assert np.isin(pts, (0.5, 1.5)).all()
 
     def test_row_major_x_fastest_order(self):
-        pts = generate_dummy_grid(UNIT, GridResolution(2, 2, 2))
-        xs = [p.x for p in pts]
-        assert xs == [0.25, 0.75] * 4
-        assert [p.t for p in pts[:4]] == [0.25] * 4
+        pts = cell_centers(UNIT, GridResolution(2, 2, 2))
+        assert pts[:, 0].tolist() == [0.25, 0.75] * 4
+        assert pts[:4, 2].tolist() == [0.25] * 4
 
 
 class TestCubeIndex:
+    """``cell_indices``: the cell id of each point."""
+
     def test_first_octant(self):
-        assert cube_index(UNIT, GridResolution(2, 2, 2), SpaceTimePoint(0.1, 0.1, 0.1)) == 0
+        assert cell_indices(UNIT, GridResolution(2, 2, 2), [0.1], [0.1], [0.1]).tolist() == [0]
 
     def test_upper_corner_clamped_to_last_cell(self):
-        assert cube_index(UNIT, GridResolution(2, 2, 2), SpaceTimePoint(1.0, 1.0, 1.0)) == 7
+        assert cell_indices(UNIT, GridResolution(2, 2, 2), [1.0], [1.0], [1.0]).tolist() == [7]
 
     def test_interior_boundary_goes_up(self):
-        assert cube_index(UNIT, GridResolution(2, 2, 2), SpaceTimePoint(0.5, 0.1, 0.1)) == 1
+        assert cell_indices(UNIT, GridResolution(2, 2, 2), [0.5], [0.1], [0.1]).tolist() == [1]
 
     def test_outside_names_coordinate(self):
         with pytest.raises(ValueError, match="coordinate t"):
-            cube_index(UNIT, GridResolution(2, 2, 2), SpaceTimePoint(0.5, 0.5, -0.1))
+            cell_indices(UNIT, GridResolution(2, 2, 2), [0.5], [0.5], [-0.1])
 
     def test_matches_reference_on_random_points(self):
         rng = np.random.default_rng(123)
         window = Window.from_bounds(-1, 3, 0, 2, 5, 9)
         res = GridResolution(7, 3, 5)
-        for _ in range(200):
-            p = SpaceTimePoint(*(lo + rng.random() * (hi - lo) for lo, hi in window.ranges))
-            assert cube_index(window, res, p) == reference_cell_id(window, res, p)
+        lo, hi = np.array(window.ranges).T
+        pts = lo + rng.random((200, 3)) * (hi - lo)
+        want = [reference_cell_id(window, res, p) for p in pts.tolist()]
+        assert cell_indices(window, res, *pts.T).tolist() == want
 
 
 class TestBuildScheme:
@@ -186,9 +184,9 @@ class TestBuildScheme:
         pat = PointPattern.from_arrays(UNIT, *rng.random((3, 25)))
         res = GridResolution(3, 3, 3)
         scheme = build_scheme(pat, res)
-        ids = [cube_index(UNIT, res, SpaceTimePoint(*c)) for c in scheme.coords]
+        ids = cell_indices(UNIT, res, *scheme.coords.T)
         assert len(ids) == scheme.size
-        assert all(0 <= i < res.n_cells for i in ids)
+        assert ((0 <= ids) & (ids < res.n_cells)).all()
 
 
 class TestSchemeInvariants:
@@ -330,7 +328,7 @@ class TestReplicatedScheme:
         rep = build_replicated_scheme(pat, GridResolution(3, 3, 3))
         assert rep.coords.shape == (10 + 27, 3)
         assert rep.n_data == 10 and rep.n_dummy == 27
-        assert rep.n_by_level() == {rep.levels[0]: 4, rep.levels[1]: 6}
+        assert np.bincount(rep.marks).tolist() == [4, 6]
 
     @pytest.mark.parametrize(
         "marks, message", [([0, 1, 0], "need 2 integer mark codes"), ([0, 2], "unknown mark code 2")]
@@ -400,9 +398,9 @@ def exact_grids(draw):
 
 
 def assert_bins_into(window, res, p, cells):
-    """``p`` lands in cell ``cells`` (per-axis indices) for cube_index and for the scheme."""
+    """``p`` lands in cell ``cells`` (per-axis indices) for cell_indices and for the scheme."""
     want = cells[0] + res.nx * (cells[1] + res.ny * cells[2])
-    assert cube_index(window, res, SpaceTimePoint(*p)) == want
+    assert cell_indices(window, res, *np.reshape(p, (3, 1))).tolist() == [want]
     scheme = quiet_scheme(window, res, p)
     nu = res.cell_volume(window)
     # the data point and the dummy of its cell share that cell's volume
@@ -459,7 +457,7 @@ def marked_patterns(draw):
     codes = draw(st.lists(st.integers(0, m - 1), min_size=len(fractions), max_size=len(fractions)))
     lo, hi = np.array(window.ranges).T
     xyt = np.clip(lo + np.reshape(fractions, (-1, 3)) * (hi - lo), lo, hi)
-    levels = tuple(MarkLevel(f"L{i}", i + 1) for i in range(m))
+    levels = tuple(f"L{i}" for i in range(m))
     return MarkedPointPattern(window, xyt, np.array(codes, dtype=np.intp), levels)
 
 

@@ -1,5 +1,4 @@
 import re
-import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -21,30 +20,23 @@ from stppfit import (
     PointPattern,
     SpaceTimePoint,
     Window,
-    build_scheme,
-    build_replicated_scheme,
     fit_multitype,
     fit_stpp,
     smooth_to_grid,
 )
 from stppfit.cubature import cell_centers
-from stppfit.patterns import MarkLevel
 from stppfit.io import (
     fmt,
-    load_grid,
     load_model,
     model_from_dict,
     model_to_dict,
     read_covariate_samples,
     read_pattern_csv,
-    save_grid,
     save_model,
     window_from_dict,
     window_to_dict,
     write_covariate_samples,
-    write_grid_csv,
     write_pattern_csv,
-    write_scheme_csv,
     write_surface_csv,
 )
 
@@ -85,8 +77,8 @@ class TestPatternCsv:
         path = tmp_path / "marked.csv"
         write_pattern_csv(pat, path)
         again = read_pattern_csv(path, window=UNIT, marked=True)
-        assert [m.label for _, m in again.points] == [m.label for _, m in pat.points]
-        assert [lv.label for lv in again.levels] == ["fire", "theft"]
+        assert [m for _, m in again.points] == [m for _, m in pat.points]
+        assert again.levels == ("fire", "theft")
 
     def test_window_required_without_inference(self, tmp_path):
         path = tmp_path / "pattern.csv"
@@ -163,7 +155,7 @@ class TestPatternCsv:
         path.write_text("\ufeffx,y,t,mark\r\n0.1,0.2,0.3,a\r\n", encoding="utf-8")
         again = read_pattern_csv(path, window=UNIT, marked=True)
         assert again.xyt.tolist() == [[0.1, 0.2, 0.3]]
-        assert [lv.label for lv in again.levels] == ["a"]
+        assert again.levels == ("a",)
 
     def test_percent_label_round_trips(self, tmp_path):
         pat = MarkedPointPattern.from_labeled(UNIT, [(SpaceTimePoint(0.1, 0.2, 0.3), "50%"),
@@ -173,7 +165,7 @@ class TestPatternCsv:
         assert path.read_text().splitlines()[1:] == ["0.10000000000000001,0.20000000000000001,0.29999999999999999,50%",
                                                      "0.40000000000000002,0.5,0.59999999999999998,%s"]
         again = read_pattern_csv(path, window=UNIT, marked=True)
-        assert [m.label for _, m in again.points] == ["50%", "%s"]
+        assert [m for _, m in again.points] == ["50%", "%s"]
 
     def test_reading_16500_rows_peaks_below_the_row_loop_parser(self, tmp_path):
         # the per-row parser this one replaced peaked at 4.6 MB on this file
@@ -209,7 +201,7 @@ class TestCsvProperties:
             pat = PointPattern(WIDE, xyt)
         else:
             codes = data.draw(st.lists(st.integers(0, len(levels) - 1), min_size=len(xyt), max_size=len(xyt)))
-            pat = MarkedPointPattern(WIDE, xyt, np.array(codes), tuple(MarkLevel(lab, i + 1) for i, lab in enumerate(levels)))
+            pat = MarkedPointPattern(WIDE, xyt, np.array(codes), tuple(levels))
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "pattern.csv"
             write_pattern_csv(pat, path)
@@ -223,7 +215,7 @@ class TestCsvProperties:
             again = read_pattern_csv(path, window=WIDE, marked=levels is not None)
         assert again.xyt.tobytes() == pat.xyt.tobytes()
         if levels is not None:
-            assert [m.label for _, m in again.points] == [m.label for _, m in pat.points]
+            assert [m for _, m in again.points] == [m for _, m in pat.points]
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(*3 * [st.integers(1, 4)]), st.floats(-1e6, 1e6), st.lists(st.none(), min_size=1, max_size=1)
@@ -265,95 +257,8 @@ class TestCovariateCsv:
         path = tmp_path / "samples.csv"
         write_covariate_samples(samples, path)
         again = read_covariate_samples(path)
-        assert [s.value for s in again] == [s.value for s in samples]
-        assert [s.location for s in again] == [s.location for s in samples]
-
-
-class TestGridStorage:
-    def make_grid(self):
-        rng = np.random.default_rng(6)
-        samples = [
-            CovariateSample(SpaceTimePoint(*rng.random(3)), float(rng.normal()))
-            for _ in range(8)
-        ]
-        return smooth_to_grid(samples, UNIT, GridResolution(4, 3, 2))
-
-    def test_binary_sidecar_roundtrip_bit_exact(self, tmp_path):
-        grid = self.make_grid()
-        save_grid(grid, tmp_path / "grid.json")
-        again = load_grid(tmp_path / "grid.json")
-        assert again.values.tobytes() == grid.values.tobytes()
-        assert again.window == grid.window
-        assert again.resolution == grid.resolution
-
-    def test_sidecar_is_packed_little_endian_float64(self, tmp_path):
-        grid = self.make_grid()
-        save_grid(grid, tmp_path / "grid.json")
-        raw = (tmp_path / "grid.bin").read_bytes()
-        assert raw == struct.pack(f"<{grid.values.size}d", *grid.values)
-
-    def check_resized_sidecar_rejected(self, tmp_path, new_size):
-        save_grid(self.make_grid(), tmp_path / "grid.json")
-        bin_path = tmp_path / "grid.bin"
-        raw = bin_path.read_bytes()
-        assert len(raw) == 192
-        bin_path.write_bytes((raw + b"\0" * 64)[:new_size])
-        with pytest.raises(ValueError) as exc:
-            load_grid(tmp_path / "grid.json")
-        msg = str(exc.value)
-        assert str(bin_path) in msg
-        assert "192 bytes" in msg and f"found {new_size}" in msg
-
-    def test_truncated_sidecar_rejected(self, tmp_path):
-        self.check_resized_sidecar_rejected(tmp_path, 189)
-
-    def test_overlong_sidecar_rejected(self, tmp_path):
-        self.check_resized_sidecar_rejected(tmp_path, 200)
-
-    def test_csv_dump_has_header_and_rows(self, tmp_path):
-        grid = self.make_grid()
-        path = tmp_path / "grid.csv"
-        write_grid_csv(grid, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "cell_id,x_center,y_center,t_center,value"
-        assert len(lines) == 1 + 24
-        centers = cell_centers(grid.window, grid.resolution)
-        rows = enumerate(zip(centers, grid.values))
-        assert lines[1:] == [f"{i},{fmt(x)},{fmt(y)},{fmt(t)},{fmt(v)}" for i, ((x, y, t), v) in rows]
-
-    def test_schema_version_checked(self, tmp_path):
-        grid = self.make_grid()
-        save_grid(grid, tmp_path / "grid.json")
-        import json
-
-        header = json.loads((tmp_path / "grid.json").read_text())
-        header["schema_version"] = 99
-        (tmp_path / "grid.json").write_text(json.dumps(header))
-        with pytest.raises(ValueError, match="schema"):
-            load_grid(tmp_path / "grid.json")
-
-
-class TestSchemeCsv:
-    def test_plain_scheme(self, tmp_path):
-        scheme = build_scheme(random_pattern(6, seed=7), GridResolution(2, 2, 2))
-        path = tmp_path / "scheme.csv"
-        write_scheme_csv(scheme, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,t,is_data,weight"
-        assert len(lines) == 1 + scheme.size
-
-    def test_replicated_scheme_has_mark_column(self, tmp_path):
-        rng = np.random.default_rng(8)
-        pts = [(SpaceTimePoint(*rng.random(3)), "A") for _ in range(2)]
-        pts += [(SpaceTimePoint(*rng.random(3)), "B") for _ in range(3)]
-        pat = MarkedPointPattern.from_labeled(UNIT, pts)
-        rep = build_replicated_scheme(pat, GridResolution(2, 2, 2))
-        path = tmp_path / "rep.csv"
-        write_scheme_csv(rep, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,t,is_data,weight,mark"
-        assert len(lines) == 1 + 2 * rep.size
-        assert lines[1].endswith(",A") and lines[-1].endswith(",B")
+        assert again.shape == (12, 4)
+        assert again.tolist() == [[*s.location, s.value] for s in samples]
 
 
 class TestModelJson:
@@ -422,9 +327,28 @@ class TestModelJson:
         model = fit_multitype(pat, spec, GridResolution(6, 6, 6))
         save_model(model, tmp_path / "model.json")
         again = load_model(tmp_path / "model.json")
-        assert [lv.label for lv in again.levels] == ["A", "B"]
+        assert again.levels == ("A", "B")
         p = SpaceTimePoint(0.5, 0.5, 0.5)
         assert again.marginal_intensity(p) == model.marginal_intensity(p)
+
+    def marked_dict(self):
+        pts = [(SpaceTimePoint(0.1 * k, 0.5, 0.5), "AB"[k % 2]) for k in range(1, 9)]
+        spec = ModelSpec((Intercept(),), multitype_mode=MarkFixedEffects(True))
+        return model_to_dict(fit_multitype(MarkedPointPattern.from_labeled(UNIT, pts), spec, GridResolution(3, 3, 3)))
+
+    def test_repeated_level_label_rejected(self):
+        # with the coefficient names renamed to match, a repeated label hid level 2's coefficients
+        d = self.marked_dict()
+        d["levels"][1]["label"], d["coefficients"][1]["name"] = "A", "A:1"
+        with pytest.raises(ValueError, match=re.escape("mark labels must be distinct, got ['A', 'A']")):
+            model_from_dict(d)
+
+    def test_level_index_must_be_its_position(self):
+        d = self.marked_dict()
+        assert d["levels"] == [{"label": "A", "index": 1}, {"label": "B", "index": 2}]
+        d["levels"][0]["index"], d["levels"][1]["index"] = 2, 1
+        with pytest.raises(ValueError, match=re.escape("1-based positions 1..2 in order, got [2, 1]")):
+            model_from_dict(d)
 
     def test_schema_version_checked(self, tmp_path):
         model = self.unmarked_model()

@@ -16,7 +16,6 @@ from stppfit import (
     IrlsConfig,
     MarkedPointPattern,
     MarkFixedEffects,
-    MarkLevel,
     ModelSpec,
     PointPattern,
     SimConfig,
@@ -362,10 +361,8 @@ class TestFitMultitype:
             fit_multitype(pat, spec, RES8)
 
     def test_empty_level_rejected(self):
-        from stppfit import MarkLevel
-
         rng = np.random.default_rng(22)
-        levels = (MarkLevel("A", 1), MarkLevel("B", 2))
+        levels = ("A", "B")
         pts = tuple(SpaceTimePoint(*rng.random(3)) for _ in range(4))
         pat = MarkedPointPattern(UNIT, pts, [0] * len(pts), levels)
         spec = ModelSpec((Intercept(),), multitype_mode=MarkFixedEffects(True))
@@ -497,7 +494,7 @@ class TestSeparabilityProperty:
         counts = rng.integers(15, 40, size=m)
         lo_, hi_ = np.array(window.ranges).T
         xyt = lo_ + rng.random((counts.sum(), 3)) * (hi_ - lo_)
-        levels = tuple(MarkLevel(f"L{i}", i + 1) for i in range(m))
+        levels = tuple(f"L{i}" for i in range(m))
         pattern = MarkedPointPattern(window, xyt, np.repeat(np.arange(m), counts), levels)
         terms = (Intercept(), CoordinateMonomial(1, 0, 0))
         res = GridResolution(6, 6, 6)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from stppfit import (
     MarkedPointPattern,
-    MarkLevel,
     PointPattern,
     SpaceTimePoint,
     Window,
@@ -17,6 +16,7 @@ from stppfit import (
     ground_pattern,
     split_by_mark,
 )
+from stppfit.patterns import _mark_codes
 
 
 def unit_window():
@@ -110,7 +110,7 @@ class TestMarkedPattern:
     def test_split_by_mark_counts(self):
         pat = two_level_pattern(3, 2)
         subs = split_by_mark(pat)
-        counts = {lv.label: sp.n for lv, sp in subs.items()}
+        counts = {label: sp.n for label, sp in subs.items()}
         assert counts == {"A": 3, "B": 2}
         for sp in subs.values():
             assert sp.window == pat.window
@@ -118,8 +118,8 @@ class TestMarkedPattern:
     def test_split_preserves_within_level_order(self):
         pat = two_level_pattern(4, 3, seed=5)
         subs = split_by_mark(pat)
-        for lv, sub in subs.items():
-            expected = [p for p, m in pat.points if m == lv]
+        for label, sub in subs.items():
+            expected = [p for p, m in pat.points if m == label]
             assert list(sub.points) == expected
 
     def test_single_level_split_is_identity(self):
@@ -130,8 +130,7 @@ class TestMarkedPattern:
         assert list(sub.points) == [p for p, _ in pat.points]
 
     def test_empty_pattern_with_declared_levels(self):
-        levels = (MarkLevel("A", 1), MarkLevel("B", 2))
-        pat = MarkedPointPattern(unit_window(), levels=levels)
+        pat = MarkedPointPattern(unit_window(), levels=("A", "B"))
         subs = split_by_mark(pat)
         assert all(sp.n == 0 for sp in subs.values())
         assert ground_pattern(pat).n == 0
@@ -154,20 +153,16 @@ class TestMarkedPattern:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            MarkedPointPattern(unit_window(), levels=(MarkLevel("A", 1), MarkLevel("A", 2)))
-
-    def test_bad_index_set_rejected(self):
-        with pytest.raises(ValueError, match="bijection"):
-            MarkedPointPattern(unit_window(), levels=(MarkLevel("A", 1), MarkLevel("B", 3)))
+            MarkedPointPattern(unit_window(), levels=("A", "A"))
 
     def test_unknown_mark_rejected(self):
-        levels = (MarkLevel("A", 1),)
+        levels = ("A",)
         stray = SpaceTimePoint(0.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="unknown mark"):
             MarkedPointPattern(unit_window(), (stray,), [1], levels)
 
     def test_outside_marked_point_rejected(self):
-        levels = (MarkLevel("A", 1),)
+        levels = ("A",)
         bad = SpaceTimePoint(2.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="marked point 0"):
             MarkedPointPattern(unit_window(), (bad,), [0], levels)
@@ -177,13 +172,13 @@ class TestMarkedPattern:
         # a comma or any line break the reader splits on (str.splitlines) splits the cell, and
         # surrounding whitespace would read back stripped
         with pytest.raises(ValueError, match=re.escape(f"mark label {label!r} cannot be written to a CSV cell")):
-            MarkLevel(label, 1)
+            MarkedPointPattern(unit_window(), levels=(label,))
         with pytest.raises(ValueError, match=re.escape(repr(label))):
             MarkedPointPattern.from_labeled(unit_window(), [(SpaceTimePoint(0.5, 0.5, 0.5), label)])
 
     @pytest.mark.parametrize("label", ["50%", "a b", "é", "x;y"])
     def test_label_with_inner_space_or_symbols_is_accepted(self, label):
-        assert MarkLevel(label, 1).label == label
+        assert MarkedPointPattern(unit_window(), levels=(label,)).levels == (label,)
 
 
 class TestDuplicates:
@@ -260,8 +255,8 @@ class TestPatternProperties:
         pat = labeled_pattern(pairs)
         ground = ground_pattern(pat).coords()
         subs = split_by_mark(pat)
-        for lv, sub in subs.items():
-            mine = [i for i, (_, lab) in enumerate(pairs) if lab == lv.label]
+        for label, sub in subs.items():
+            mine = [i for i, (_, lab) in enumerate(pairs) if lab == label]
             assert sub.coords().tobytes() == ground[mine].tobytes()
         assert sum(sub.n for sub in subs.values()) == pat.n == len(pairs)
 
@@ -270,7 +265,17 @@ class TestPatternProperties:
     def test_levels_are_sorted_labels_and_counts_match(self, pairs):
         pat = labeled_pattern(pairs)
         labels = [lab for _, lab in pairs]
-        assert [lv.label for lv in pat.levels] == sorted(set(labels))
-        assert [lv.index for lv in pat.levels] == list(range(1, len(pat.levels) + 1))
-        assert {lv.label: c for lv, c in pat.counts_by_level().items()} == Counter(labels)
-        assert [m.label for _, m in pat.points] == labels
+        assert pat.levels == tuple(sorted(set(labels)))
+        assert pat.counts_by_level() == Counter(labels)
+        assert [m for _, m in pat.points] == labels
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["b", "a", "%s", "50%", "é", "Ω", "B"]) | st.text(min_size=1, max_size=3),
+                    min_size=1, max_size=40))
+    def test_mark_codes_index_the_sorted_unique_labels(self, labels):
+        codes, levels = _mark_codes(labels)
+        assert levels == tuple(sorted(set(labels)))
+        assert [levels[c] for c in codes.tolist()] == labels
+        # the object-array np.unique coding gives the same levels and codes
+        unique, inverse = np.unique(np.array(labels, dtype=object), return_inverse=True)
+        assert levels == tuple(unique) and codes.tolist() == inverse.tolist()
