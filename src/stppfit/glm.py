@@ -16,6 +16,9 @@ design type, ``DesignMatrix``, is I_M kron B: it stores the K x p matrix B
 and never forms the (M*K) x (M*p) matrix of the fully mark-interacted
 multitype design; an unmarked or dense design is the case M = 1. The
 rank check runs once, on B.
+
+``scipy.linalg`` is imported inside the two functions that call LAPACK,
+so importing the package, simulating and predicting never load it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .patterns import _readonly
 
@@ -122,7 +124,9 @@ class DesignMatrix:
         """Index of the first all-ones column, or None."""
         if self.levels > 1:  # every column is zero outside its own level
             return None
-        cols = np.nonzero(np.all(self.values == 1.0, axis=0))[0]
+        # compare the whole column only where its first entry is 1
+        cand = np.flatnonzero(np.all(self.values[:1] == 1.0, axis=0))
+        cols = cand[np.all(self.values[:, cand] == 1.0, axis=0)]
         return int(cols[0]) if cols.size else None
 
 
@@ -246,16 +250,9 @@ def score_and_fisher(X: DesignMatrix, y, w, theta, penalty=None) -> tuple[np.nda
     return _score_fisher(X, y, w, theta, np.exp(_linear_predictor(X, theta)), pen)
 
 
-def _deviance(y: np.ndarray, w: np.ndarray, lam: np.ndarray) -> float:
-    pos = y > 0
-    dev = w * lam
-    yl = y[pos]
-    with np.errstate(divide="ignore"):
-        dev[pos] = w[pos] * (yl * np.log(yl / lam[pos]) - (yl - lam[pos]))
-    return float(2.0 * dev.sum())
-
-
 def _check_rank(X: DesignMatrix) -> None:
+    import scipy.linalg
+
     # X'X is block-diagonal with M copies of B'B, so pivoted QR of X has B's
     # R diagonal M times over: X has full column rank iff B has
     k, p = X.values.shape
@@ -289,6 +286,8 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
     the fitted rates w*lambda span more than 1/eps; reaching the iteration
     cap returns a result with ``converged=False``.
     """
+    import scipy.linalg
+
     cfg = cfg if cfg is not None else IrlsConfig()
     y, w, _, pen = _validated(X, y, w, penalty=penalty)
     _check_rank(X)
@@ -304,8 +303,16 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
     if ones is not None:
         theta[ones] = math.log(swy / sw)
 
+    # only rows with y > 0 carry the y log(y / lambda) term; find them once per fit
+    pos = np.flatnonzero(y > 0)
+    w_pos, y_pos = w[pos], y[pos]
+
     def deviances(lam_vec, th):  # plain and penalized
-        dev = _deviance(y, w, lam_vec)
+        d = w * lam_vec
+        lam_pos = lam_vec[pos]
+        with np.errstate(divide="ignore"):
+            d[pos] = w_pos * (y_pos * np.log(y_pos / lam_pos) - (y_pos - lam_pos))
+        dev = float(2.0 * d.sum())
         return dev, dev + float(np.dot(pen * th, th))
 
     eta = _linear_predictor(X, theta)
@@ -323,7 +330,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
     for iterations in range(1, cfg.max_iterations + 1):
         try:
             delta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), grad)
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:  # the class scipy.linalg raises
             rates = w * lam
             lo, hi = float(rates.min()), float(rates.max())
             if lo / hi < np.finfo(float).eps:
@@ -370,7 +377,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
 
     try:
         cov = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), np.eye(X.n_cols))
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise FitError("Fisher information at the optimum is singular") from exc
     cov = 0.5 * (cov + cov.T)
 

@@ -2,7 +2,9 @@
 
 All CSV output is UTF-8 with `\n` line endings and floats printed with 17
 significant digits; JSON uses Python's round-tripping float repr. Outputs
-are therefore byte-deterministic for identical inputs. FORMATS.md in the
+are therefore byte-deterministic for identical inputs under one BLAS thread
+count; the log-likelihood, AIC and simulated expected count come from long
+dot products whose last digits may move with that count. FORMATS.md in the
 repository root documents every column.
 
 One formatter writes every CSV: ``format_rows`` renders a block of rows as
@@ -299,4 +301,8 @@ def save_model(model: FittedModel, path) -> None:
 
 
 def load_model(path) -> FittedModel:
-    return model_from_dict(read_json(path))
+    """Read a model JSON file; a missing entry raises ValueError naming the file and the entry."""
+    try:
+        return model_from_dict(read_json(path))
+    except KeyError as exc:
+        raise ValueError(f"model file {str(path)!r} lacks the entry {exc.args[0]!r}") from None

@@ -275,6 +275,11 @@ def fit_stpp(
     irls: IrlsConfig | None = None,
 ) -> FittedModel:
     """Fit an unmarked log-linear intensity model by cubature plus IRLS."""
+    # The IRLS needs scipy.linalg. Load it before build_scheme can warn: its
+    # import adds warning filters, and changing the filters resets the record
+    # that shows a warning once per location.
+    import scipy.linalg  # noqa: F401
+
     if spec.multitype_mode is not None:
         raise ValueError("spec declares a multitype mode: use fit_multitype")
     if isinstance(pattern, MarkedPointPattern):
@@ -295,6 +300,8 @@ def fit_multitype(
     All levels are fitted in one weighted Poisson regression whose rows
     are the shared locations replicated per level (level-major order).
     """
+    import scipy.linalg  # noqa: F401  (before build_replicated_scheme can warn; see fit_stpp)
+
     if spec.multitype_mode is None:
         raise ValueError("spec has no multitype mode: use fit_stpp")
     if not isinstance(pattern, MarkedPointPattern):

@@ -39,17 +39,22 @@ def run_cli(*args, cwd):
     return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
-def run_module(*args, cwd):
-    """Run ``python -m stppfit`` in a subprocess."""
-    env = dict(os.environ)
+def run_python(*args, cwd, **env_vars):
+    """Run the interpreter with ``src/`` on its path in a subprocess; ``env_vars`` join its environment."""
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "stppfit", *map(str, args)],
+        [sys.executable, *map(str, args)],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def run_module(*args, cwd, **env_vars):
+    """Run ``python -m stppfit`` in a subprocess."""
+    return run_python("-m", "stppfit", *args, cwd=cwd, **env_vars)
 
 
 @pytest.fixture(scope="module")
@@ -709,3 +714,54 @@ class TestCovariateModelFormats:
         assert "values" not in term
         want = (FIXTURES / "legacy_external_surface.csv").read_bytes()
         assert (tmp_path / "covariate_surface.csv").read_bytes() == want
+
+
+# a fresh interpreter: only a fit may load scipy, so the commands that do not
+# fit start without its import cost
+COLD_START = f"""
+import sys
+import stppfit, stppfit.cli as cli
+runs = [
+    ["--help"],
+    ["simulate", "--window", "{WINDOW}", "--log-intensity", "3 + 0.5*x", "--lambda-max", "34",
+     "--seed", "1", "--out", "cold_sim.csv"],
+    ["predict-grid", "--model", {str(FIXTURES / "golden_unmarked.json")!r}, "--out", "cold_u.csv"],
+    ["predict-grid", "--model", {str(FIXTURES / "golden_shared_ridge.json")!r}, "--marginal",
+     "--out", "cold_m.csv"],
+    ["predict-grid", "--model", {str(FIXTURES / "legacy_external_model.json")!r}, "--out", "cold_c.csv"],
+    ["fit", "--window", "{WINDOW}"],  # a usage error: no --pattern
+]
+assert [cli.main(argv) for argv in runs] == [0, 0, 0, 0, 0, 2]
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert cli.main(["fit", "--pattern", "cold_sim.csv", "--window", "{WINDOW}", "--terms", "1,x",
+                 "--out", "cold_fit.json"]) == 0
+assert "scipy" in sys.modules
+"""
+
+
+class TestProcessEnvironment:
+    def test_only_a_fit_loads_scipy(self, workdir):
+        r = run_python("-c", COLD_START, cwd=workdir)
+        assert r.returncode == 0, r.stderr
+
+    def test_blas_thread_count_keeps_fit_and_surface(self, tmp_path):
+        # OpenBLAS splits a dot product of more than 10,000 entries across
+        # threads, so the log-likelihood's last digits may move with the thread
+        # count; the IRLS iterates, the covariance and the surface do not
+        rng = np.random.default_rng(0)
+        write_pattern_csv(PointPattern.from_arrays(UNIT, *rng.random((3, 10_001))), tmp_path / "big.csv")
+        fits, surfaces = [], []
+        for threads in ("1", "2"):
+            fit = run_module("fit", "--pattern", "big.csv", "--window", WINDOW, "--terms", "1,x,t,x*t",
+                             "--grid", "30", "--out", f"fit{threads}.json",
+                             cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+            surface = run_module("predict-grid", "--model", f"fit{threads}.json", "--out", f"surface{threads}.csv",
+                                 cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+            assert fit.returncode == surface.returncode == 0, fit.stderr + surface.stderr
+            fits.append(json.loads((tmp_path / f"fit{threads}.json").read_text()))
+            surfaces.append((tmp_path / f"surface{threads}.csv").read_bytes())
+        one, two = fits
+        assert one["coefficients"] == two["coefficients"]
+        assert one["covariance"] == two["covariance"]
+        assert one["fit"]["deviance_trace"] == two["fit"]["deviance_trace"]
+        assert surfaces[0] == surfaces[1]

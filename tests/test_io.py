@@ -361,6 +361,17 @@ class TestModelJson:
         with pytest.raises(ValueError, match="schema"):
             load_model(tmp_path / "model.json")
 
+    @pytest.mark.parametrize("section, key", [(None, "multitype_mode"), ("fit", "deviance_trace")])
+    def test_missing_entry_names_file_and_entry(self, tmp_path, section, key):
+        import json
+
+        d = json.loads((Path(__file__).parent / "fixtures" / "golden_unmarked.json").read_text())
+        del (d if section is None else d[section])[key]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=re.escape(f"model file {str(path)!r} lacks the entry {key!r}")):
+            load_model(path)
+
 
     @pytest.mark.parametrize("rename", [{"x": "t", "t": "x"}, {"1": "zzz"}])
     def test_mislabelled_coefficients_rejected(self, tmp_path, rename):
