@@ -92,7 +92,7 @@ class IdwConfig:
 def _sample_table(samples) -> np.ndarray:
     """The samples, ``CovariateSample`` objects or an (J, 4) array of ``x, y, t, value`` rows, as that array."""
     if not isinstance(samples, np.ndarray):
-        samples = [(*s.location.as_tuple(), s.value) for s in samples]
+        samples = [(*s.location, s.value) for s in samples]
     table = np.array(samples, dtype=float)
     if not len(table):
         raise ValueError("IDW needs at least one covariate sample")
@@ -231,24 +231,6 @@ def smooth_to_grid(
     return CovariateGrid(window, res, samples=_sample_table(samples), idw=cfg)
 
 
-class Intercept:
-    """Constant covariate, identically one."""
-
-    name = "1"
-
-    def evaluate(self, x, y, t) -> np.ndarray:
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def __repr__(self):
-        return "Intercept()"
-
-    def __eq__(self, other):
-        return isinstance(other, Intercept)
-
-    def __hash__(self):
-        return hash("Intercept")
-
-
 @dataclass(frozen=True)
 class CoordinateMonomial:
     """Coordinate covariate x^i y^j t^k with small nonnegative exponents."""
@@ -285,6 +267,16 @@ class CoordinateMonomial:
             if e:
                 out = out * np.asarray(arr, dtype=float) ** e
         return out
+
+
+class Intercept(CoordinateMonomial):
+    """Constant covariate, identically one: the degree-0 monomial under its own type."""
+
+    def __init__(self):  # no exponents to pass: an Intercept is always the constant
+        super().__init__()
+
+    def __repr__(self):
+        return "Intercept()"
 
 
 @dataclass(frozen=True, eq=False)

@@ -123,30 +123,23 @@ def cell_centers(window: Window, res: GridResolution) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CubatureScheme:
-    """Data points followed by dummy points, with indicators and weights."""
+    """K cubature points with weights, the first ``n_data`` rows being the data points."""
 
     window: Window
     resolution: GridResolution
-    coords: np.ndarray  # (n_data + n_dummy, 3)
-    is_data: np.ndarray  # (K,) 0/1
+    coords: np.ndarray  # (K, 3), data rows first
     weights: np.ndarray  # (K,) positive, summing to window volume
     n_data: int
-    n_dummy: int
 
     def __post_init__(self):
         coords = _readonly(np.asarray(self.coords, dtype=float).reshape(-1, 3))
-        is_data = _readonly(np.asarray(self.is_data, dtype=np.uint8).ravel())
         weights = _readonly(np.asarray(self.weights, dtype=float).ravel())
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "is_data", is_data)
         object.__setattr__(self, "weights", weights)
-        k = self.n_data + self.n_dummy
-        if not (len(coords) == len(is_data) == len(weights) == k):
-            raise ValueError("coords, is_data and weights must all have length n_data + n_dummy")
-        if not np.all(np.isin(is_data, (0, 1))):
-            raise ValueError("is_data entries must be 0 or 1")
-        if int(is_data.sum()) != self.n_data:
-            raise ValueError("is_data must contain exactly n_data ones")
+        if len(coords) != len(weights):
+            raise ValueError(f"coords has {len(coords)} rows but weights has {len(weights)}")
+        if not 0 <= self.n_data <= len(coords):
+            raise ValueError(f"n_data must lie between 0 and the {len(coords)} points, got {self.n_data}")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise ValueError("all cubature weights must be positive and finite")
         vol = self.window.volume()
@@ -157,7 +150,18 @@ class CubatureScheme:
 
     @property
     def size(self) -> int:
-        return self.n_data + self.n_dummy
+        return len(self.coords)
+
+    @property
+    def n_dummy(self) -> int:
+        return self.size - self.n_data
+
+    @property
+    def is_data(self) -> np.ndarray:
+        """Read-only (K,) uint8 data indicator: 1 on the first ``n_data`` rows, 0 after."""
+        e = np.zeros(self.size, dtype=np.uint8)
+        e[: self.n_data] = 1
+        return _readonly(e)
 
 
 def build_scheme(pattern: PointPattern, res: GridResolution = DEFAULT_RESOLUTION) -> CubatureScheme:
@@ -189,9 +193,7 @@ def build_scheme(pattern: PointPattern, res: GridResolution = DEFAULT_RESOLUTION
     coords = np.vstack([pattern.coords(), dummies]) if n else dummies
     ids = cell_indices(window, res, coords[:, 0], coords[:, 1], coords[:, 2])
     weights = res.cell_volume(window) / np.bincount(ids, minlength=m)[ids]
-    is_data = np.zeros(n + m, dtype=np.uint8)
-    is_data[:n] = 1
-    return CubatureScheme(window, res, coords, is_data, weights, n, m)
+    return CubatureScheme(window, res, coords, weights, n)
 
 
 def responses(scheme: CubatureScheme) -> np.ndarray:
@@ -228,7 +230,7 @@ class ReplicatedCubatureScheme(CubatureScheme):
     @property
     def is_data_by_level(self) -> np.ndarray:
         e = np.zeros((self.n_levels, self.size), dtype=np.uint8)
-        e[self.marks, np.flatnonzero(self.is_data)] = 1
+        e[self.marks, np.arange(self.n_data)] = 1
         return _readonly(e)
 
 

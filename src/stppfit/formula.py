@@ -194,6 +194,4 @@ def parse_term_list(
         if numbers or pos != len(tokens):
             raise ValueError(f"malformed term {tok!r}")
         terms.append(CoordinateMonomial(*exps))
-    if not terms:
-        raise ValueError("term list is empty")
     return tuple(terms)

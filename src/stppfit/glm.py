@@ -155,13 +155,15 @@ class FitResult:
 
     coefficients: np.ndarray
     covariance: np.ndarray
-    deviance: float
+    deviance_trace: tuple[float, ...]  # the deviance after each accepted step, starting value first
     log_likelihood_approx: float
     iterations: int
     converged: bool
-    deviance_trace: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "deviance_trace", tuple(map(float, self.deviance_trace)))
+        if not self.deviance_trace:
+            raise ValueError("deviance_trace needs at least the starting deviance")
         coef = _readonly(np.asarray(self.coefficients, dtype=float).ravel())
         cov = _readonly(np.asarray(self.covariance, dtype=float))
         object.__setattr__(self, "coefficients", coef)
@@ -177,6 +179,11 @@ class FitResult:
 
     def std_errors(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+
+    @property
+    def deviance(self) -> float:
+        """The deviance at the returned coefficients: the last entry of ``deviance_trace``."""
+        return self.deviance_trace[-1]
 
 
 def _validated(X: DesignMatrix, y, w, theta=None, penalty=None):
@@ -381,12 +388,6 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
         raise FitError("Fisher information at the optimum is singular") from exc
     cov = 0.5 * (cov + cov.T)
 
-    return FitResult(
-        coefficients=theta,
-        covariance=cov,
-        deviance=trace[-1],
-        log_likelihood_approx=_loglik(y, w, eta, lam),
-        iterations=iterations,
-        converged=float(np.abs(grad).max()) <= grad_tol,
-        deviance_trace=tuple(trace),
-    )
+    return FitResult(coefficients=theta, covariance=cov, deviance_trace=trace,
+                     log_likelihood_approx=_loglik(y, w, eta, lam), iterations=iterations,
+                     converged=float(np.abs(grad).max()) <= grad_tol)

@@ -263,37 +263,52 @@ def model_to_dict(model: FittedModel) -> dict:
     }
 
 
+def _entry(d: dict, key: str, kind: type = dict):
+    """``d[key]``, which must be a JSON object (``kind=dict``) or an array of objects (``kind=list``)."""
+    v = d[key]
+    if not isinstance(v, kind) or kind is list and not all(isinstance(e, dict) for e in v):
+        raise ValueError(f"entry {key!r} must be a JSON {'array of objects' if kind is list else 'object'}, "
+                         f"got {type(v).__name__}")
+    return v
+
+
 def model_from_dict(d: dict) -> FittedModel:
+    if not isinstance(d, dict):
+        raise ValueError(f"a model must be a JSON object, got {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {d.get('schema_version')!r}")
-    indices = [lv["index"] for lv in d["levels"]]
+    levels, coefficients, fit = _entry(d, "levels", list), _entry(d, "coefficients", list), _entry(d, "fit")
+    indices = [lv["index"] for lv in levels]
     if indices != list(range(1, len(indices) + 1)):
         raise ValueError(f"level indices must be the 1-based positions 1..{len(indices)} in order, got {indices}")
-    mode = d["multitype_mode"]
     spec = ModelSpec(
-        terms=tuple(_term_from_dict(t) for t in d["terms"]),
-        multitype_mode=None if mode is None else MarkFixedEffects(bool(mode["interact_all"])),
+        terms=tuple(_term_from_dict(t) for t in _entry(d, "terms", list)),
+        multitype_mode=None if d["multitype_mode"] is None
+        else MarkFixedEffects(bool(_entry(d, "multitype_mode")["interact_all"])),
         ridge_on_marks=float(d["ridge_on_marks"]),
     )
-    fit = FitResult(
-        coefficients=np.array([c["estimate"] for c in d["coefficients"]], dtype=float),
-        covariance=np.array(d["covariance"], dtype=float),
-        deviance=float(d["fit"]["deviance"]),
-        log_likelihood_approx=float(d["fit"]["log_likelihood_approx"]),
-        iterations=int(d["fit"]["iterations"]),
-        converged=bool(d["fit"]["converged"]),
-        deviance_trace=tuple(d["fit"]["deviance_trace"]),
-    )
-    return FittedModel(
+    model = FittedModel(
         spec=spec,
-        window=window_from_dict(d["window"]),
+        window=window_from_dict(_entry(d, "window")),
         resolution=GridResolution(*d["grid_resolution"]),
         n_data=int(d["n_data"]),
         n_dummy=int(d["n_dummy"]),
-        fit=fit,
-        column_names=tuple(c["name"] for c in d["coefficients"]),
-        levels=tuple(lv["label"] for lv in d["levels"]),
+        fit=FitResult(
+            coefficients=np.array([c["estimate"] for c in coefficients], dtype=float),
+            covariance=np.array(d["covariance"], dtype=float),
+            deviance_trace=fit["deviance_trace"],
+            log_likelihood_approx=float(fit["log_likelihood_approx"]),
+            iterations=int(fit["iterations"]),
+            converged=bool(fit["converged"]),
+        ),
+        levels=tuple(lv["label"] for lv in levels),
     )
+    names, expected = [c["name"] for c in coefficients], list(model.column_names)
+    if names != expected:
+        raise ValueError(f"coefficient names {names} do not match the model's columns {expected}")
+    if float(fit["deviance"]) != model.fit.deviance:
+        raise ValueError(f"entry 'deviance' is not {model.fit.deviance!r}, the last entry of 'deviance_trace'")
+    return model
 
 
 def save_model(model: FittedModel, path) -> None:
@@ -301,8 +316,10 @@ def save_model(model: FittedModel, path) -> None:
 
 
 def load_model(path) -> FittedModel:
-    """Read a model JSON file; a missing entry raises ValueError naming the file and the entry."""
+    """Read a model JSON file; a missing entry or any other fault in it raises ValueError naming the file."""
     try:
         return model_from_dict(read_json(path))
     except KeyError as exc:
         raise ValueError(f"model file {str(path)!r} lacks the entry {exc.args[0]!r}") from None
+    except (ValueError, TypeError) as exc:  # TypeError: a scalar entry of the wrong JSON type, e.g. float(None)
+        raise ValueError(f"model file {str(path)!r}: {exc}") from None

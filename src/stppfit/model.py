@@ -14,7 +14,7 @@ first is the design I_M kron B, a ``DesignMatrix`` with ``levels=M`` that
 stores only B, so its memory grows linearly in M; an unmarked fit is the
 case M = 1. The second is a dense (M*K) x (p+M-1) matrix.
 ``_column_names`` is the one statement of the coefficient layout (a
-model's names must equal it), and ``FittedModel._coefs`` the one place
+model's names are derived from it), and ``FittedModel._coefs`` the one place
 that resolves a mark label.
 """
 
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covariates import CovariateFunction, ExternalCovariate, Intercept
+from .covariates import CoordinateMonomial, CovariateFunction, ExternalCovariate
 from .cubature import (
     DEFAULT_RESOLUTION,
     CubatureScheme,
@@ -79,7 +79,7 @@ class ModelSpec:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("a model needs at least one term")
-        if sum(isinstance(t, Intercept) for t in self.terms) > 1:
+        if sum(isinstance(t, CoordinateMonomial) and t.name == "1" for t in self.terms) > 1:
             raise ValueError("at most one intercept term is allowed")
         if not (math.isfinite(self.ridge_on_marks) and self.ridge_on_marks >= 0):
             raise ValueError(f"ridge_on_marks must be nonnegative, got {self.ridge_on_marks!r}")
@@ -140,24 +140,20 @@ class FittedModel:
     n_data: int
     n_dummy: int
     fit: FitResult
-    column_names: tuple[str, ...]
     levels: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if self.levels:
             _validated_marks((), 0, self.levels)  # the label rules of a marked pattern
-        object.__setattr__(self, "column_names", tuple(self.column_names))
-        if len(self.column_names) != self.fit.coefficients.size:
-            raise ValueError("one column name per fitted coefficient is required")
         if bool(self.levels) != (self.spec.multitype_mode is not None):
             raise ValueError("a model has mark levels exactly when its spec has a multitype mode")
-        expected = _column_names(self.spec, self.levels)
-        if self.column_names != expected:
-            raise ValueError(
-                f"coefficient names {list(self.column_names)} do not match the model's "
-                f"columns {list(expected)}"
-            )
+        if len(self.column_names) != self.fit.coefficients.size:
+            raise ValueError("one column name per fitted coefficient is required")
+
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        return _column_names(self.spec, self.levels)
 
     @property
     def is_marked(self) -> bool:
@@ -255,17 +251,8 @@ def _fit(scheme: CubatureScheme, spec: ModelSpec, irls: IrlsConfig | None,
     y = replicated_responses(scheme).ravel() if levels else responses(scheme)
     # every level shares the one weight vector; at m = 1 the ravel is a view, not a copy
     w = np.broadcast_to(scheme.weights, (m, scheme.size)).ravel()
-    result = fit_irls(design, y, w, irls, penalty)
-    return FittedModel(
-        spec=spec,
-        window=scheme.window,
-        resolution=scheme.resolution,
-        n_data=scheme.n_data,
-        n_dummy=scheme.n_dummy,
-        fit=result,
-        column_names=_column_names(spec, levels),
-        levels=levels,
-    )
+    return FittedModel(spec=spec, window=scheme.window, resolution=scheme.resolution, n_data=scheme.n_data,
+                       n_dummy=scheme.n_dummy, fit=fit_irls(design, y, w, irls, penalty), levels=levels)
 
 
 def fit_stpp(

@@ -61,9 +61,6 @@ class SpaceTimePoint(namedtuple("SpaceTimePoint", "x y t")):
                 raise ValueError(f"coordinate {name} must be finite, got {raw!r}")
         return super().__new__(cls, *xyt)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.t)
-
 
 @dataclass(frozen=True)
 class Window:
@@ -180,16 +177,17 @@ class PointPattern:
 
 
 def _validated_marks(marks, n: int, levels: tuple[str, ...]) -> np.ndarray:
-    """Check level labels, which must each fit one CSV cell, and ``n`` integer codes into them;
+    """Check level labels, which must each fit one UTF-8 CSV cell, and ``n`` integer codes into them;
     return the codes as a read-only copy."""
     if not levels:
         raise ValueError("a marked pattern needs at least one mark level")
     for label in levels:
         if not isinstance(label, str) or not label:
             raise ValueError(f"mark label must be a nonempty string, got {label!r}")
-        if "," in label or label.splitlines() != [label] or label != label.strip():
-            raise ValueError(f"mark label {label!r} cannot be written to a CSV cell: it must hold no "
-                             "comma or line break and not start or end with whitespace")
+        if ("," in label or label.splitlines() != [label] or label != label.strip()
+                or label.encode("utf-8", "ignore").decode() != label):  # e.g. a lone surrogate, '\ud800'
+            raise ValueError(f"mark label {label!r} cannot be written to a CSV cell: it must be UTF-8 encodable, "
+                             "hold no comma or line break and not start or end with whitespace")
     if len(set(levels)) != len(levels):
         raise ValueError(f"mark labels must be distinct, got {list(levels)}")
     codes = np.asarray(marks)

@@ -505,6 +505,19 @@ class TestPredictGridCommand:
         assert r.stderr == "error: --mark 'Z' is not one of the model's levels ['A', 'B']\n"
         assert not (fitted / "z.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "a model must be a JSON object, got list"),
+        ('{"schema_version": 1, "levels": [], "coefficients": [], "fit": []}',
+         "entry 'fit' must be a JSON object, got list"),
+    ])
+    def test_model_file_of_wrong_json_type_is_usage_error(self, fitted, text, message):
+        # both ended in a traceback, exit 1
+        (fitted / "wrong.json").write_text(text)
+        r = run_cli("predict-grid", "--model", "wrong.json", "--grid", "2", "--out", "wrong.csv", cwd=fitted)
+        assert r.returncode == 2
+        assert r.stderr == f"error: model file 'wrong.json': {message}\n"
+        assert not (fitted / "wrong.csv").exists()
+
     def test_marginal_on_unmarked_model_is_usage_error(self, fitted):
         r = run_cli(
             "predict-grid", "--model", "const.json", "--grid", "2,2,2",

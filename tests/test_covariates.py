@@ -48,7 +48,7 @@ def oracle_idw(queries, xyz, vals, cfg):
 
 
 def sample_arrays(samples):
-    xyz = np.array([s.location.as_tuple() for s in samples])
+    xyz = np.array([s.location for s in samples])
     return xyz, np.array([s.value for s in samples])
 
 
@@ -349,6 +349,15 @@ class TestCovariateFunctions:
         f = CoordinateMonomial(0, 0, 0)
         assert f.name == "1"
         assert f.evaluate([9.0], [9.0], [9.0]).tolist() == [1.0]
+
+    def test_intercept_is_the_degree_zero_monomial_under_its_own_type(self):
+        assert Intercept() == Intercept() and hash(Intercept()) == hash(Intercept())
+        assert Intercept() != CoordinateMonomial(0, 0, 0) and CoordinateMonomial(0, 0, 0) != Intercept()
+        assert isinstance(Intercept(), CoordinateMonomial)
+        assert repr(Intercept()) == "Intercept()" and Intercept().name == "1"
+        assert len({Intercept(), Intercept(), CoordinateMonomial(0, 0, 0)}) == 2
+        with pytest.raises(TypeError):
+            Intercept(1, 0, 0)
 
     def test_monomial_names(self):
         assert CoordinateMonomial(1, 0, 0).name == "x"

@@ -193,17 +193,22 @@ class TestSchemeInvariants:
     def test_weight_sum_violation_rejected(self):
         coords = np.array([[0.5, 0.5, 0.5]])
         with pytest.raises(ValueError, match="window volume"):
-            CubatureScheme(UNIT, GridResolution(1, 1, 1), coords, [0], [0.5], 0, 1)
+            CubatureScheme(UNIT, GridResolution(1, 1, 1), coords, [0.5], 0)
 
     def test_nonpositive_weight_rejected(self):
         coords = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
         with pytest.raises(ValueError, match="positive"):
-            CubatureScheme(UNIT, GridResolution(2, 1, 1), coords, [0, 0], [1.0, 0.0], 0, 2)
+            CubatureScheme(UNIT, GridResolution(2, 1, 1), coords, [1.0, 0.0], 0)
 
     def test_indicator_count_must_match_n_data(self):
         coords = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
         with pytest.raises(ValueError, match="n_data"):
-            CubatureScheme(UNIT, GridResolution(2, 1, 1), coords, [1, 0], [0.5, 0.5], 0, 2)
+            CubatureScheme(UNIT, GridResolution(2, 1, 1), coords, [0.5, 0.5], 3)
+
+    def test_coords_and_weights_must_have_equal_lengths(self):
+        coords = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
+        with pytest.raises(ValueError, match="coords has 2 rows but weights has 1"):
+            CubatureScheme(UNIT, GridResolution(1, 1, 1), coords, [1.0], 0)
 
     def test_responses_times_weights_recover_indicators(self):
         rng = np.random.default_rng(8)
@@ -446,6 +451,50 @@ class TestSchemeProperties:
                 p[axis] = lo + j * (hi - lo) / n
                 cells[axis] = min(j, n - 1)
                 assert_bins_into(window, res, p, cells)
+
+
+@st.composite
+def calendar_windows(draw):
+    """Metre-sized spatial sides and a span of years, as in projected, dated data."""
+    x0, y0 = (draw(st.integers(0, 500_000)) for _ in range(2))
+    year = draw(st.integers(1900, 2100))
+    sides = [draw(st.sampled_from([100.0, 1000.0, 25_000.0])) for _ in range(2)]
+    return Window((x0, x0 + sides[0]), (y0, y0 + sides[1]), (year, year + draw(st.integers(1, 30))))
+
+
+class TestDerivedIndicator:
+    @settings(max_examples=100, deadline=None)
+    @given(offset_windows() | calendar_windows(), st.tuples(*3 * [st.integers(1, 5)]),
+           st.lists(st.tuples(*3 * [st.floats(0, 1)]), max_size=30), st.none() | st.integers(1, 3), st.data())
+    def test_indicator_marks_the_first_n_data_rows(self, window, per_axis, fractions, m, data):
+        lo, hi = np.array(window.ranges).T
+        xyt = np.clip(lo + np.reshape(fractions, (-1, 3)) * (hi - lo), lo, hi)
+        res = GridResolution(*per_axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CubatureWarning)
+            if m is None:
+                scheme = build_scheme(PointPattern(window, xyt), res)
+            else:
+                codes = data.draw(st.lists(st.integers(0, m - 1), min_size=len(xyt), max_size=len(xyt)))
+                levels = tuple(f"L{i}" for i in range(m))
+                scheme = build_replicated_scheme(MarkedPointPattern(window, xyt, np.array(codes, dtype=int), levels), res)
+        n = len(xyt)
+        assert (scheme.n_data, scheme.n_dummy, scheme.size) == (n, res.n_cells, n + res.n_cells)
+        e = scheme.is_data
+        assert e.dtype == np.uint8 and e.tolist() == [1] * n + [0] * res.n_cells
+        assert not e.flags.writeable
+        with pytest.raises(ValueError):
+            e[0] = 1 - e[0]
+        explicit = np.array([1] * n + [0] * res.n_cells, dtype=np.uint8)
+        assert responses(scheme).tobytes() == (explicit / scheme.weights).tobytes()
+        if m is not None:
+            assert scheme.is_data_by_level.sum(axis=0).tolist() == e.tolist()
+
+    def test_derived_facts_cannot_be_assigned(self):
+        scheme = build_scheme(PointPattern(UNIT, [(0.5, 0.5, 0.5)]), GridResolution(2, 2, 2))
+        for name in ("is_data", "n_dummy", "size"):
+            with pytest.raises(AttributeError):
+                setattr(scheme, name, None)
 
 
 @st.composite

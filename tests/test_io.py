@@ -185,8 +185,8 @@ WIDE = Window((-MAX_DOUBLE, MAX_DOUBLE), (-MAX_DOUBLE, MAX_DOUBLE), (-MAX_DOUBLE
 # rows in every drawn pattern: signed zero, subnormals and the extremes
 EDGE_ROWS = [(-0.0, 5e-324, MAX_DOUBLE), (-MAX_DOUBLE, -5e-324, 2.2250738585072014e-308), (0.0, -1e-310, 1.0)]
 finite = st.floats(allow_nan=False, allow_infinity=False)
-# labels a CSV cell can carry: no comma, one line, no surrounding whitespace
-labels = st.text(st.characters(blacklist_characters=","), min_size=1, max_size=4).filter(
+# labels a UTF-8 CSV cell can carry: no surrogate (no UTF-8 form), no comma, one line, no surrounding whitespace
+labels = st.text(st.characters(blacklist_characters=",", blacklist_categories=("Cs",)), min_size=1, max_size=4).filter(
     lambda s: s == s.strip() and s.splitlines() == [s]
 )
 
@@ -372,6 +372,72 @@ class TestModelJson:
         with pytest.raises(ValueError, match=re.escape(f"model file {str(path)!r} lacks the entry {key!r}")):
             load_model(path)
 
+
+    @pytest.mark.parametrize("entry, value, message", [
+        (None, [], "a model must be a JSON object, got list"),
+        ("fit", [], "entry 'fit' must be a JSON object, got list"),
+        ("levels", {}, "entry 'levels' must be a JSON array of objects, got dict"),
+        ("coefficients", "x", "entry 'coefficients' must be a JSON array of objects, got str"),
+        ("coefficients", ["x"], "entry 'coefficients' must be a JSON array of objects, got list"),
+        ("window", [0, 1], "entry 'window' must be a JSON object, got list"),
+    ])
+    def test_entry_of_wrong_json_type_names_file_and_entry(self, tmp_path, entry, value, message):
+        import json
+
+        d = json.loads((Path(__file__).parent / "fixtures" / "golden_unmarked.json").read_text())
+        if entry is None:
+            d = value
+        else:
+            d[entry] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=re.escape(f"model file {str(path)!r}: {message}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("entry, value", [("ridge_on_marks", None), ("grid_resolution", 5), ("n_data", [])])
+    def test_scalar_entry_of_wrong_json_type_names_file(self, tmp_path, entry, value):
+        # these ended in a TypeError traceback
+        import json
+
+        d = json.loads((Path(__file__).parent / "fixtures" / "golden_unmarked.json").read_text())
+        d[entry] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=re.escape(f"model file {str(path)!r}: ")):
+            load_model(path)
+
+    def test_deviance_must_be_the_last_trace_entry(self, tmp_path):
+        import json
+
+        d = json.loads((Path(__file__).parent / "fixtures" / "golden_unmarked.json").read_text())
+        last = d["fit"]["deviance_trace"][-1]
+        assert d["fit"]["deviance"] == last
+        d["fit"]["deviance"] = last + 1.0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=re.escape(
+                f"model file {str(path)!r}: entry 'deviance' is not {last!r}, the last entry of 'deviance_trace'")):
+            load_model(path)
+        d["fit"]["deviance_trace"] = []
+        with pytest.raises(ValueError, match="deviance_trace needs at least the starting deviance"):
+            model_from_dict(d)
+
+    def test_levels_without_multitype_mode_rejected(self):
+        d = self.marked_dict()
+        d["multitype_mode"] = None
+        with pytest.raises(ValueError, match="a model has mark levels exactly when its spec has a multitype mode"):
+            model_from_dict(d)
+
+    def test_label_without_utf8_form_rejected(self, tmp_path):
+        import json
+
+        d = self.marked_dict()
+        d["levels"][1]["label"], d["coefficients"][1]["name"] = "\ud800", "\ud800:1"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))  # ASCII JSON: the surrogate is written as an escape
+        with pytest.raises(ValueError, match=re.escape(
+                f"model file {str(path)!r}: mark label '\\ud800' cannot be written to a CSV cell")):
+            load_model(path)
 
     @pytest.mark.parametrize("rename", [{"x": "t", "t": "x"}, {"1": "zzz"}])
     def test_mislabelled_coefficients_rejected(self, tmp_path, rename):

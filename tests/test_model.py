@@ -62,6 +62,13 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="intercept"):
             ModelSpec((Intercept(), Intercept()))
 
+    def test_degree_zero_monomial_counts_as_an_intercept(self):
+        # `--terms 1,x^0` fails here, before the column names are compared
+        with pytest.raises(ValueError, match="at most one intercept term is allowed"):
+            ModelSpec((Intercept(), CoordinateMonomial(0, 0, 0)))
+        with pytest.raises(ValueError, match="at most one intercept term is allowed"):
+            ModelSpec((CoordinateMonomial(0, 0, 0), CoordinateMonomial(0, 0, 0)))
+
     def test_mark_ridge_requires_multitype_mode(self):
         with pytest.raises(ValueError, match="multitype"):
             ModelSpec((Intercept(),), ridge_on_marks=1.0)

@@ -65,7 +65,7 @@ class TestWindow:
 class TestSpaceTimePoint:
     def test_coordinates_coerced_to_float(self):
         p = SpaceTimePoint(1, 2, 3)
-        assert p.as_tuple() == (1.0, 2.0, 3.0)
+        assert p == (1.0, 2.0, 3.0) and all(type(v) is float for v in p)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, bad):
@@ -175,6 +175,15 @@ class TestMarkedPattern:
             MarkedPointPattern(unit_window(), levels=(label,))
         with pytest.raises(ValueError, match=re.escape(repr(label))):
             MarkedPointPattern.from_labeled(unit_window(), [(SpaceTimePoint(0.5, 0.5, 0.5), label)])
+
+    @pytest.mark.parametrize("label", ["\ud800", "a\udfffb"])
+    def test_label_without_utf8_form_is_rejected(self, label):
+        # a lone surrogate has no UTF-8 form: the pattern CSV writer failed after the header
+        message = f"mark label {label!r} cannot be written to a CSV cell: it must be UTF-8 encodable"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MarkedPointPattern.from_labeled(unit_window(), [(SpaceTimePoint(0.5, 0.5, 0.5), label)])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MarkedPointPattern(unit_window(), levels=("A", label))
 
     @pytest.mark.parametrize("label", ["50%", "a b", "é", "x;y"])
     def test_label_with_inner_space_or_symbols_is_accepted(self, label):
