@@ -18,7 +18,11 @@ multitype design; an unmarked or dense design is the case M = 1. The
 rank check runs once, on B.
 
 ``scipy.linalg`` is imported inside the two functions that call LAPACK,
-so importing the package, simulating and predicting never load it.
+so importing the package, simulating and predicting never load it. It
+sees only matrices of at most n_cols x n_cols and one 1-D right-hand side
+per solve; numpy's products and its QR do the rest. numpy and scipy each
+bundle their own OpenBLAS with its own thread pool, and these sizes keep
+scipy's pool from starting, so its threads do not spin beside numpy's.
 """
 
 from __future__ import annotations
@@ -265,7 +269,8 @@ def _check_rank(X: DesignMatrix) -> None:
     k, p = X.values.shape
     if k < p:
         raise RankDeficiencyError(f"design has more columns ({p}) than rows ({k})")
-    _, r, piv = scipy.linalg.qr(X.values, mode="raw", pivoting=True)
+    # pivoted QR of B's R (R'R = B'B) has B's pivots and |diag R|; numpy reduces B to R
+    _, r, piv = scipy.linalg.qr(np.linalg.qr(X.values, mode="r"), mode="raw", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0:
         raise RankDeficiencyError(f"column {X.column_names[piv[0]]!r} is identically zero")
@@ -383,9 +388,11 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
         )
 
     try:
-        cov = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), np.eye(X.n_cols))
+        factor = scipy.linalg.cho_factor(fisher)
     except np.linalg.LinAlgError as exc:
         raise FitError("Fisher information at the optimum is singular") from exc
+    # one unit vector per solve gives the bits of the multi-column solve
+    cov = np.column_stack([scipy.linalg.cho_solve(factor, e) for e in np.eye(X.n_cols)])
     cov = 0.5 * (cov + cov.T)
 
     return FitResult(coefficients=theta, covariance=cov, deviance_trace=trace,

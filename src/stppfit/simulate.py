@@ -96,7 +96,7 @@ def simulate_inhomogeneous(
     vmax = float(probe_vals.max()) if probe_vals.size else 0.0
     if vmax > bound:
         raise ValueError(
-            f"lambda_max={lam_max:g} is below the sampled intensity supremum {vmax:g}"
+            f"lambda_max={lam_max!r} is below the sampled intensity supremum {vmax!r}"
         )
 
     rng = _generator(cfg.seed)
@@ -107,13 +107,13 @@ def simulate_inhomogeneous(
     if vals.size and (not np.all(np.isfinite(vals)) or np.any(vals < 0)):
         k = int(np.argmax(~np.isfinite(vals) | (vals < 0)))
         raise ValueError(
-            f"intensity is invalid ({vals[k]!r}) at candidate ({coords[k, 0]}, "
+            f"intensity is invalid ({float(vals[k])!r}) at candidate ({coords[k, 0]}, "
             f"{coords[k, 1]}, {coords[k, 2]})"
         )
     if vals.size and float(vals.max()) > bound:
         k = int(np.argmax(vals))
         raise ValueError(
-            f"intensity {vals[k]:g} exceeds lambda_max={lam_max:g} at candidate "
+            f"intensity {float(vals[k])!r} exceeds lambda_max={lam_max!r} at candidate "
             f"({coords[k, 0]}, {coords[k, 1]}, {coords[k, 2]})"
         )
     keep = u * lam_max < vals

@@ -760,21 +760,32 @@ class TestProcessEnvironment:
     def test_blas_thread_count_keeps_fit_and_surface(self, tmp_path):
         # OpenBLAS splits a dot product of more than 10,000 entries across
         # threads, so the log-likelihood's last digits may move with the thread
-        # count; the IRLS iterates, the covariance and the surface do not
+        # count; the IRLS iterates, the covariance and the surface do not. The
+        # 4-level interact-all fit covers the block-diagonal design and the
+        # covariance solved one unit vector at a time
         rng = np.random.default_rng(0)
         write_pattern_csv(PointPattern.from_arrays(UNIT, *rng.random((3, 10_001))), tmp_path / "big.csv")
-        fits, surfaces = [], []
+        labeled = [(SpaceTimePoint(*row), f"L{i % 4}") for i, row in enumerate(rng.random((10_001, 3)))]
+        write_pattern_csv(MarkedPointPattern.from_labeled(UNIT, labeled), tmp_path / "marked.csv")
+        fits, marked_fits, surfaces = [], [], []
         for threads in ("1", "2"):
             fit = run_module("fit", "--pattern", "big.csv", "--window", WINDOW, "--terms", "1,x,t,x*t",
                              "--grid", "30", "--out", f"fit{threads}.json",
                              cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
             surface = run_module("predict-grid", "--model", f"fit{threads}.json", "--out", f"surface{threads}.csv",
                                  cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
-            assert fit.returncode == surface.returncode == 0, fit.stderr + surface.stderr
+            marked = run_module("fit", "--pattern", "marked.csv", "--window", WINDOW, "--marked", "--interact-all",
+                                "--terms", "1,x,t,x*t", "--grid", "30", "--out", f"marked{threads}.json",
+                                cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+            assert fit.returncode == surface.returncode == marked.returncode == 0, (
+                fit.stderr + surface.stderr + marked.stderr
+            )
             fits.append(json.loads((tmp_path / f"fit{threads}.json").read_text()))
+            marked_fits.append(json.loads((tmp_path / f"marked{threads}.json").read_text()))
             surfaces.append((tmp_path / f"surface{threads}.csv").read_bytes())
-        one, two = fits
-        assert one["coefficients"] == two["coefficients"]
-        assert one["covariance"] == two["covariance"]
-        assert one["fit"]["deviance_trace"] == two["fit"]["deviance_trace"]
+        for one, two in (fits, marked_fits):
+            assert one["coefficients"] == two["coefficients"]
+            assert one["covariance"] == two["covariance"]
+            assert one["fit"]["deviance_trace"] == two["fit"]["deviance_trace"]
+        assert len(marked_fits[0]["coefficients"]) == 16
         assert surfaces[0] == surfaces[1]

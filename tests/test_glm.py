@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from stppfit import (
     score_and_fisher,
     weighted_poisson_loglik,
 )
+from stppfit.glm import _check_rank
 
 UNIT = Window.unit_cube()
 
@@ -332,14 +334,63 @@ class TestFitIrlsProperties:
         res = fit_irls(X, y, w, cfg, pen)
         assert res.deviance == res.deviance_trace[-1]
         assert res.log_likelihood_approx == weighted_poisson_loglik(X, y, w, res.coefficients)
-        grad, _ = score_and_fisher(X, y, w, res.coefficients, pen)
+        grad, fisher = score_and_fisher(X, y, w, res.coefficients, pen)
         assert res.converged == (float(np.abs(grad).max()) <= 1e-8 * w.sum())
+        # the covariance has the bits of the multi-column solve against the identity
+        inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), np.eye(m * p))
+        assert res.covariance.tobytes() == (0.5 * (inv + inv.T)).tobytes()
         if m > 1:
             dense = fit_irls(DesignMatrix(np.kron(np.eye(m), values), names("b", m * p)), y, w, cfg, pen)
             assert res.iterations == dense.iterations
             assert len(res.deviance_trace) == len(dense.deviance_trace)
             np.testing.assert_allclose(res.coefficients, dense.coefficients, rtol=0, atol=1e-9)
             np.testing.assert_allclose(res.covariance, dense.covariance, rtol=0, atol=1e-9)
+
+
+class TestScipySizedCalls:
+    """``fit_irls`` hands scipy only p x p matrices and 1-D right-hand sides;
+    these properties pin that the results are those of the larger calls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 60))
+    def test_inverse_by_unit_vectors_matches_multi_column_solve(self, seed, p):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(p + 5, p))
+        scales = 10.0 ** rng.uniform(-6.0, 6.0, size=p)
+        factor = scipy.linalg.cho_factor((a.T @ a) * np.outer(scales, scales))
+        by_column = np.column_stack([scipy.linalg.cho_solve(factor, e) for e in np.eye(p)])
+        assert by_column.tobytes() == scipy.linalg.cho_solve(factor, np.eye(p)).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 8),
+        extra_rows=st.integers(0, 60),
+        plant=st.booleans(),
+    )
+    def test_rank_check_on_r_matches_pivoted_qr_of_the_base(self, seed, p, extra_rows, plant):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(p + extra_rows, p)) * 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+        if plant and p >= 3:
+            # one column an exact combination of two others, with continuous
+            # coefficients so that no two pivot candidates tie
+            j, i, k = rng.permutation(p)[:3]
+            a, b = rng.uniform(0.5, 2.0, size=2) * rng.choice([-1.0, 1.0], size=2)
+            values[:, j] = a * values[:, i] + b * values[:, k]
+        cols = names("c", p)
+        # the rank check on B itself: scipy's pivoted QR of the whole K x p base
+        _, r, piv = scipy.linalg.qr(values, mode="raw", pivoting=True)
+        diag = np.abs(np.diag(r))
+        bad = diag <= 1e-10 * diag[0]
+        want = cols[piv[int(np.argmax(bad))]] if bad.any() else None
+        try:
+            _check_rank(DesignMatrix(values, cols))
+            got = None
+        except RankDeficiencyError as exc:
+            got = str(exc).split("'")[1]
+        assert got == want
+        if plant and p >= 3:
+            assert got is not None
 
 
 class TestValidation:

@@ -53,6 +53,22 @@ def marked_pattern(n_a, n_b, seed=0):
     return MarkedPointPattern.from_labeled(UNIT, pts)
 
 
+def spy_on(monkeypatch, *targets):
+    """Wrap each ``(module, name)`` function; the returned list collects one
+    ``("module.name", [shape of each array argument])`` per call, where a
+    ``(factor, lower)`` tuple counts as its factor."""
+    calls = []
+    for module, attr in targets:
+
+        def spy(*args, _call=getattr(module, attr), _name=f"{module.__name__}.{attr}", **kwargs):
+            arrays = [a[0] if isinstance(a, tuple) else a for a in args]
+            calls.append((_name, [np.shape(a) for a in arrays if isinstance(a, np.ndarray)]))
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
 class TestModelSpec:
     def test_needs_at_least_one_term(self):
         with pytest.raises(ValueError, match="at least one term"):
@@ -344,20 +360,44 @@ class TestFitMultitype:
             )
 
     def test_interact_all_rank_check_runs_once_on_the_base(self, monkeypatch):
+        # numpy reduces the K x p base B (not the M*K-row expansion) to its
+        # p x p R once, and scipy's pivoted QR runs once, on that R
         import scipy.linalg
 
-        shapes = []
-        qr = scipy.linalg.qr
-
-        def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "qr", spy)
+        calls = spy_on(monkeypatch, (np.linalg, "qr"), (scipy.linalg, "qr"))
         pat = marked_pattern(40, 60, seed=20)
         terms = (Intercept(), CoordinateMonomial(1, 0, 0), CoordinateMonomial(0, 0, 1))
         fit_multitype(pat, ModelSpec(terms, multitype_mode=MarkFixedEffects(True)), RES8)
-        assert shapes == [(build_replicated_scheme(pat, RES8).size, 3)]
+        k = build_replicated_scheme(pat, RES8).size
+        assert [s for name, s in calls if name == "numpy.linalg.qr"] == [[(k, 3)]]
+        assert [s for name, s in calls if name == "scipy.linalg.qr"] == [[(3, 3)]]
+
+    def test_scipy_sees_only_design_column_sized_arrays(self, monkeypatch):
+        # numpy and scipy bundle separate OpenBLAS pools; scipy's stays idle
+        # as long as it gets at most p x p matrices and one 1-D right-hand side
+        import scipy.linalg
+
+        rng = np.random.default_rng(31)
+        labels = [f"L{m:02d}" for m in range(12)]
+        twelve = MarkedPointPattern.from_labeled(
+            UNIT, [(SpaceTimePoint(*rng.random(3)), lv) for lv in labels for _ in range(15)]
+        )
+        terms = (Intercept(), CoordinateMonomial(1, 0, 0), CoordinateMonomial(0, 0, 1))
+        fits = [
+            lambda: fit_stpp(uniform_pattern(80, seed=32), ModelSpec(terms), RES8),
+            lambda: fit_multitype(twelve, ModelSpec(terms, MarkFixedEffects(True)), RES8),
+            lambda: fit_multitype(
+                marked_pattern(30, 50, seed=33), ModelSpec(terms, MarkFixedEffects(False), ridge_on_marks=0.5), RES8
+            ),
+        ]
+        calls = spy_on(monkeypatch, (scipy.linalg, "qr"), (scipy.linalg, "cho_factor"), (scipy.linalg, "cho_solve"))
+        for fit in fits:
+            calls.clear()
+            p = fit().fit.coefficients.size
+            assert {name for name, _ in calls} == {f"scipy.linalg.{f}" for f in ("qr", "cho_factor", "cho_solve")}
+            for name, (matrix, *rhs) in calls:
+                assert len(matrix) == 2 and max(matrix) <= p, (name, matrix, p)
+                assert all(len(b) == 1 for b in rhs), (name, rhs)
 
     def test_single_level_directed_to_fit_stpp(self):
         rng = np.random.default_rng(21)

@@ -121,6 +121,22 @@ class TestInhomogeneous:
                 UNIT, lambda x, y, t: np.exp(4.0 + 1.2 * x), SimConfig(seed=1, lambda_max=100.0)
             )
 
+    def test_bound_violation_prints_both_numbers_in_full(self):
+        # under :g both numbers would print as 100
+        below = r"^lambda_max=100\.00001 is below the sampled intensity supremum 100\.00002$"
+        with pytest.raises(ValueError, match=below):
+            simulate_inhomogeneous(
+                UNIT, lambda x, y, t: np.full_like(x, 100.00002), SimConfig(seed=1, lambda_max=100.00001)
+            )
+        calls = []
+
+        def rises_after_the_probe(x, y, t):  # passes the envelope check, fails at the candidates
+            calls.append(None)
+            return np.full_like(x, 100.0 if len(calls) == 1 else 100.00002)
+
+        with pytest.raises(ValueError, match=r"^intensity 100\.00002 exceeds lambda_max=100\.00001 at candidate"):
+            simulate_inhomogeneous(UNIT, rises_after_the_probe, SimConfig(seed=1, lambda_max=100.00001))
+
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             simulate_inhomogeneous(
