@@ -15,7 +15,12 @@ design only through its products ``dot``, ``tdot`` and ``gram``. The one
 design type, ``DesignMatrix``, is I_M kron B: it stores the K x p matrix B
 and never forms the (M*K) x (M*p) matrix of the fully mark-interacted
 multitype design; an unmarked or dense design is the case M = 1. The
-rank check runs once, on B.
+rank check runs once, on B. For M > 1, entry (i, j) of level m's Fisher
+block is v_m . (B_i * B_j), so the design caches the K x p(p+1)/2 table of
+row-wise pair products B_i * B_j (i <= j) on first use and ``gram`` forms
+all M blocks in one product v.reshape(M, K) @ P. An M = 1 design never
+builds the table: there B' diag(v) B is already one product, and P,
+(p+1)/2 times the size of B, costs more memory than it saves time.
 
 ``scipy.linalg`` is imported inside the two functions that call LAPACK,
 so importing the package, simulating and predicting never load it. It
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,12 +122,23 @@ class DesignMatrix:
         """X' v."""
         return (v.reshape(self.levels, -1) @ self.values).ravel()
 
+    @cached_property
+    def _pair_products(self) -> np.ndarray:
+        """K x p(p+1)/2 row-wise products B_i * B_j, i <= j, in ``np.triu_indices`` order."""
+        i, j = np.triu_indices(self.values.shape[1])
+        return self.values[:, i] * self.values[:, j]
+
     def gram(self, v: np.ndarray) -> np.ndarray:
         """X' diag(v) X: M diagonal blocks B' diag(v_m) B."""
-        b, p = self.values, self.values.shape[1]
+        b = self.values
+        if self.levels == 1:
+            return (b * v[:, None]).T @ b
+        k, p = b.shape
+        i, j = np.triu_indices(p)
+        sums = v.reshape(self.levels, k) @ self._pair_products  # one row per level
+        off = np.arange(0, self.n_cols, p)[:, None]
         out = np.zeros((self.n_cols, self.n_cols))
-        for m, vm in enumerate(v.reshape(self.levels, -1)):
-            out[m * p : (m + 1) * p, m * p : (m + 1) * p] = (b * vm[:, None]).T @ b
+        out[off + i, off + j] = out[off + j, off + i] = sums
         return out
 
     def ones_column(self) -> int | None:
@@ -216,7 +233,8 @@ def _validated(X: DesignMatrix, y, w, theta=None, penalty=None):
 
 
 def _overflows(eta: np.ndarray) -> bool:
-    return eta.size > 0 and float(np.abs(eta).max()) > MAX_LINEAR_PREDICTOR
+    # max |eta| without the |eta| temporary; a nan still compares False
+    return eta.size > 0 and float(max(eta.max(), -eta.min())) > MAX_LINEAR_PREDICTOR
 
 
 def _linear_predictor(X: DesignMatrix, theta: np.ndarray) -> np.ndarray:
@@ -234,9 +252,13 @@ def _loglik(y: np.ndarray, w: np.ndarray, eta: np.ndarray, lam: np.ndarray) -> f
     return float(np.dot(w * y, eta) - np.dot(w, lam) + w.sum())
 
 
-def _score_fisher(X: DesignMatrix, y, w, theta, lam, pen) -> tuple[np.ndarray, np.ndarray]:
-    grad = X.tdot(w * (y - lam)) - pen * theta
-    fisher = X.gram(w * lam) + np.diag(pen)
+def _score_fisher(X: DesignMatrix, y, w, theta, lam, pen, pos) -> tuple[np.ndarray, np.ndarray]:
+    # pos: the rows with y > 0; elsewhere w * (y - lam) is -(w * lam), bit for bit
+    wlam = w * lam
+    resid = -wlam
+    resid[pos] = w[pos] * (y[pos] - lam[pos])
+    grad = X.tdot(resid) - pen * theta
+    fisher = X.gram(wlam) + np.diag(pen)
     return grad, fisher
 
 
@@ -258,7 +280,8 @@ def score_and_fisher(X: DesignMatrix, y, w, theta, penalty=None) -> tuple[np.nda
     fisher   = X' diag(w * lambda) X + diag(penalty)
     """
     y, w, theta, pen = _validated(X, y, w, theta, penalty)
-    return _score_fisher(X, y, w, theta, np.exp(_linear_predictor(X, theta)), pen)
+    lam = np.exp(_linear_predictor(X, theta))
+    return _score_fisher(X, y, w, theta, lam, pen, np.flatnonzero(y > 0))
 
 
 def _check_rank(X: DesignMatrix) -> None:
@@ -336,7 +359,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
 
     # score and Fisher information at the current theta; each accepted step
     # refreshes both once, so the covariance inverts the Fisher matrix at the end
-    grad, fisher = _score_fisher(X, y, w, theta, lam, pen)
+    grad, fisher = _score_fisher(X, y, w, theta, lam, pen, pos)
     grad_tol = GRADIENT_RTOL * sw
     iterations, at_guard = 0, False
     for iterations in range(1, cfg.max_iterations + 1):
@@ -376,7 +399,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
         rel_change = abs(pdev - cand_pdev) / max(abs(cand_pdev), 1e-300)
         theta, eta, lam, pdev = cand, cand_eta, cand_lam, cand_pdev
         trace.append(cand_dev)
-        grad, fisher = _score_fisher(X, y, w, theta, lam, pen)
+        grad, fisher = _score_fisher(X, y, w, theta, lam, pen, pos)
         if rel_change <= cfg.tolerance and float(np.abs(grad).max()) <= grad_tol:
             break
 

@@ -22,7 +22,7 @@ from stppfit import (
     score_and_fisher,
     weighted_poisson_loglik,
 )
-from stppfit.glm import _check_rank
+from stppfit.glm import MAX_LINEAR_PREDICTOR, _check_rank, _overflows
 
 UNIT = Window.unit_cube()
 
@@ -70,9 +70,9 @@ class TestBlockDiagonalDesign:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        k=st.integers(1, 30),
-        p=st.integers(1, 5),
-        m=st.integers(1, 5),
+        k=st.integers(1, 200),
+        p=st.integers(1, 8),
+        m=st.integers(1, 12),
     )
     def test_products_match_dense_oracle(self, seed, k, p, m):
         rng = np.random.default_rng(seed)
@@ -94,7 +94,33 @@ class TestBlockDiagonalDesign:
         assert np.all(np.abs(X.dot(theta) - dense @ theta) <= 1e-12 * (mag @ np.abs(theta)))
         assert np.all(np.abs(X.tdot(v) - dense.T @ v) <= 1e-12 * (mag.T @ v))
         want = (dense * v[:, None]).T @ dense
-        assert np.all(np.abs(X.gram(v) - want) <= 1e-12 * ((mag * v[:, None]).T @ mag))
+        gram = X.gram(v)
+        assert np.all(np.abs(gram - want) <= 1e-12 * ((mag * v[:, None]).T @ mag))
+        # both triangles of each block come from the one pair-product sum
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.fixture
+    def pair_builds(self, monkeypatch):
+        """The designs whose pair-product table gets built, one entry per build."""
+        prop = DesignMatrix.__dict__["_pair_products"]
+        build, calls = prop.func, []
+        monkeypatch.setattr(prop, "func", lambda design: calls.append(design) or build(design))
+        return calls
+
+    def test_one_level_never_builds_the_pair_table(self, pair_builds):
+        X, y, w = cubature_problem(n=60, res=4, seed=8, with_slope=True)
+        X.gram(w)
+        fit_irls(X, y, w)
+        assert pair_builds == []
+
+    def test_pair_table_is_built_once_per_design(self, pair_builds):
+        rng = np.random.default_rng(9)
+        X = DesignMatrix(rng.normal(size=(40, 3)), names("c", 3), 3)
+        v = rng.uniform(0.1, 2.0, size=X.n_rows)
+        first = X.gram(v)
+        for _ in range(3):
+            assert np.array_equal(X.gram(v), first)
+        assert pair_builds == [X]
 
     def test_one_level_keeps_the_base_intercept(self):
         values = np.column_stack([np.ones(4), np.arange(4.0)])
@@ -119,6 +145,29 @@ class TestBlockDiagonalDesign:
         X = DesignMatrix(np.column_stack([np.ones(20), x, 2 * x]), ("1", "x", "xx"), 3)
         with pytest.raises(RankDeficiencyError, match=r"^column '(x|xx)' is linearly dependent"):
             fit_irls(X, np.ones(60), np.ones(60))
+
+
+class TestOverflows:
+    """``_overflows(eta)`` is ``max |eta| > MAX_LINEAR_PREDICTOR`` without the |eta| temporary."""
+
+    EDGES = [0.0, 700.0, -700.0, np.nextafter(700.0, np.inf), -np.nextafter(700.0, np.inf),
+             np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def reference(eta):
+        return eta.size > 0 and bool(np.abs(eta).max() > MAX_LINEAR_PREDICTOR)
+
+    @pytest.mark.parametrize("eta", [[]] + [[e] for e in EDGES] + [[np.nan, np.inf], [-np.inf, np.nan],
+                                                                    [1.0, -np.nextafter(700.0, np.inf)]])
+    def test_edges(self, eta):
+        eta = np.array(eta, dtype=float)
+        assert _overflows(eta) == self.reference(eta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(EDGES), st.floats(-1e3, 1e3), st.floats()), max_size=12))
+    def test_matches_abs_max(self, values):
+        eta = np.array(values, dtype=float)
+        assert _overflows(eta) == self.reference(eta)
 
 
 class TestWeightedPoissonLoglik:
