@@ -2,9 +2,10 @@
 
 Built-in terms are the intercept and coordinate monomials ``x^i y^j t^k``.
 External covariates observed at scattered locations are smoothed onto a
-fine regular grid by three-dimensional inverse-distance weighting (IDW)
-and looked up by containing cell, which for cell centers is the nearest
-grid point. The grid computes a cell only when a lookup first reads it.
+fine regular grid by three-dimensional inverse-distance weighting (IDW),
+``v_0 + sum_j w_j (v_j - v_0) / sum_j w_j`` with ``w_j = d_j^-p``, and
+looked up by containing cell, which for cell centers is the nearest grid
+point. The grid computes a cell only when a lookup first reads it.
 
 Space and time carry different units, so raw 3D Euclidean distance is not
 meaningful; distances are computed after dividing each axis by a
@@ -20,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .cubature import GridResolution, cell_axes, cell_indices
+from .cubature import GridResolution, cell_axes, cell_centers, cell_indices
 from .patterns import SpaceTimePoint, Window, _readonly
 
 __all__ = [
@@ -107,13 +108,16 @@ def _idw_cells(axes, cells: np.ndarray, samples: np.ndarray, cfg: IdwConfig, out
     it)`` sums the per-axis tables ``D_a = (axis_a / scale_a - s_a)**2`` as
     ``(D_x[ix] + D_y[iy]) + D_t[it]``, the order of the direct ``((q -
     s)**2).sum(axis=-1)``, in blocks of at most ``_BLOCK_PAIRS`` (cell,
-    sample) pairs. Weights are normalized per row before the value sum, so
-    a lone sample reproduces exactly; a cell within ``_COINCIDENT_DIST`` of
-    samples gets the mean of their values. Each row is reduced on its own,
-    so a value is bit-identical to the direct formula whatever else is
-    computed with it.
+    sample) pairs. Its value is ``v_0 + sum_j w_j (v_j - v_0) / sum_j w_j``,
+    two numpy row reductions and one division; centring on the first
+    sample's value ``v_0`` keeps a lone sample and a constant field exact.
+    Each row is reduced on its own, so a value does not depend on what else
+    is computed with it. A cell within ``_COINCIDENT_DIST`` of samples gets
+    the mean of their values; a rounded sum of terms ``D_a >= 0`` is at
+    least each term, so only cells that close to a sample on every axis are
+    checked.
     """
-    s, vals = samples[:, :3] / np.asarray(cfg.scaling), np.ascontiguousarray(samples[:, 3])
+    s, vals, offsets = samples[:, :3] / np.asarray(cfg.scaling), samples[:, 3], samples[:, 3] - samples[0, 3]
     dx, dy, dt = (
         (np.asarray(ax, dtype=float)[:, None] / sc - s[None, :, a]) ** 2
         for a, (ax, sc) in enumerate(zip(axes, cfg.scaling))
@@ -121,27 +125,36 @@ def _idw_cells(axes, cells: np.ndarray, samples: np.ndarray, cfg: IdwConfig, out
     nx, ny, n, n_samples = len(dx), len(dy), len(cells), len(vals)
     rows = max(1, min(n, _BLOCK_PAIRS // n_samples))
     d_buf, w_buf, eps2 = np.empty((rows, n_samples)), np.empty((rows, n_samples)), _COINCIDENT_DIST**2
+    near_x, near_y, near_t = ((da < eps2).any(axis=1) for da in (dx, dy, dt))
     # coincident rows come out as nan here and are overwritten below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for r0 in range(0, n, rows):
             c = cells[r0 : r0 + rows]
             d, w = d_buf[: len(c)], w_buf[: len(c)]
+            ix, iy, it = c % nx, c // nx % ny, c // (nx * ny)
             # mode="clip" lets take write into the buffers without a temporary
-            np.take(dx, c % nx, axis=0, out=d, mode="clip")
-            np.take(dy, c // nx % ny, axis=0, out=w, mode="clip")
+            np.take(dx, ix, axis=0, out=d, mode="clip")
+            np.take(dy, iy, axis=0, out=w, mode="clip")
             d += w
-            np.take(dt, c // (nx * ny), axis=0, out=w, mode="clip")
+            np.take(dt, it, axis=0, out=w, mode="clip")
             d += w
             if cfg.power == 2.0:
                 np.divide(1.0, d, out=w)
             else:
                 np.power(d, -cfg.power / 2.0, out=w)
-            w /= w.sum(axis=1, keepdims=True)
-            w *= vals
-            v = w.sum(axis=1)
-            for r in np.flatnonzero(d.min(axis=1) < eps2):
-                v[r] = float(np.mean(vals[d[r] < eps2]))
+            v = np.einsum("ij,j->i", w, offsets)
+            v /= np.einsum("ij->i", w)
+            v += vals[0]
+            for r in np.flatnonzero(near_x[ix] & near_y[iy] & near_t[it]):
+                if (hit := d[r] < eps2).any():
+                    v[r] = float(np.mean(vals[hit]))
             out[c] = v
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``ids`` in increasing order, as ``np.unique`` returns them, with less overhead."""
+    ids = np.sort(ids)
+    return ids[np.diff(ids, prepend=ids[:1] - 1) != 0]
 
 
 def idw_interpolate(samples, query: SpaceTimePoint, cfg: IdwConfig | None = None) -> float:
@@ -200,15 +213,17 @@ class CovariateGrid:
             chunk = ids[i0 : i0 + _READ_CHUNK]
             missing = np.isnan(self._cache[chunk])
             if missing.any():
-                self._fill(np.unique(chunk[missing]))
+                self._fill(_distinct(chunk[missing]))
         return self._cache[ids]
 
     def _fill(self, cells: np.ndarray) -> None:
         _idw_cells(cell_axes(self.window, self.resolution), cells, self.samples, self.idw, self._cache)
         bad = cells[~np.isfinite(self._cache[cells])]
         if bad.size:
+            x, y, t = cell_centers(self.window, self.resolution)[bad[0]]
             self._cache[bad] = np.nan  # so the cell stays unread and fails again when read
-            raise ValueError("grid values must all be finite")
+            raise ValueError(f"grid values must all be finite: at the cell centred at ({x:g}, {y:g}, {t:g}), the "
+                             f"IDW weights 1/d^p at power {self.idw.power:g} leave the range of double precision")
 
 
 def smooth_to_grid(

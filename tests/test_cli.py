@@ -196,6 +196,21 @@ class TestFitCommand:
         model = load_model(workdir / "mcov.json")
         assert model.column_names == ("1", "ndvi")
 
+    def test_overflowing_idw_weights_name_the_cell_and_power(self, workdir):
+        # at power 400 a cell within about 0.03 scaled units of a sample has
+        # weight (d^2)^-200 = inf, so its IDW value is nan
+        r = run_cli(
+            "fit", "--pattern", "u100.csv", "--window", WINDOW, "--terms", "1,ndvi",
+            "--covariate", "ndvi=cov.csv", "--covariate-grid", "8,8,8", "--idw-power", "400",
+            "--grid", "6,6,6", "--out", "overflow.json", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert r.stderr == (
+            "error: grid values must all be finite: at the cell centred at (0.3125, 0.0625, 0.0625), "
+            "the IDW weights 1/d^p at power 400 leave the range of double precision\n"
+        )
+        assert not (workdir / "overflow.json").exists()
+
     def test_repeated_covariate_name_is_usage_error(self, workdir):
         # the second file does not exist: exit 2 rather than 3 shows no file was read
         r = run_cli(
@@ -641,6 +656,23 @@ class TestConvergenceStudyCommand:
         assert r.returncode == 2
 
 
+# a fit on an IDW-smoothed covariate and its surface; the model JSON keeps the
+# 20 samples, so the surface recomputes the IDW cells it reads
+COVARIATE_FIT = ("fit", "--pattern", "cov_u.csv", "--window", WINDOW, "--terms", "1,x,z",
+                 "--covariate", "z=cov20.csv", "--covariate-grid", "8", "--grid", "6",
+                 "--out", "covariate.json")
+COVARIATE_SURFACE = ("predict-grid", "--model", "covariate.json", "--grid", "5",
+                     "--out", "covariate_surface.csv")
+
+
+def write_covariate_inputs(d: Path) -> None:
+    """Write the seeded pattern and 20 covariate samples of ``COVARIATE_FIT`` to ``d``."""
+    rng = np.random.default_rng(2025)
+    write_pattern_csv(PointPattern.from_arrays(UNIT, *rng.random((3, 150))), d / "cov_u.csv")
+    samples = [CovariateSample(SpaceTimePoint(*rng.random(3)), float(rng.normal())) for _ in range(20)]
+    write_covariate_samples(samples, d / "cov20.csv")
+
+
 # every output file of the golden runs, compared byte for byte with tests/fixtures/golden_<name>
 GOLDEN_RUNS = [
     ("fit", "--pattern", "golden_u.csv", "--window", WINDOW, "--terms", "1,x,t", "--grid", "6",
@@ -657,6 +689,8 @@ GOLDEN_RUNS = [
     ("predict-grid", "--model", "interact_all.json", "--grid", "3", "--out", "interact_all_surface.csv"),
     ("predict-grid", "--model", "interact_all.json", "--grid", "3", "--mark", "B",
      "--out", "interact_all_surface_B.csv"),
+    COVARIATE_FIT,
+    COVARIATE_SURFACE,
 ]
 
 
@@ -672,6 +706,7 @@ def golden_outputs(d: Path) -> dict[str, bytes]:
     pts = [(SpaceTimePoint(*rng.random(3)), label) for label, n in (("A", 40), ("B", 60), ("C", 80))
            for _ in range(n)]
     write_pattern_csv(MarkedPointPattern.from_labeled(UNIT, pts), d / "golden_m.csv")
+    write_covariate_inputs(d)  # its own generator: the streams above do not move
     outputs = {}
     for args in GOLDEN_RUNS:
         r = run_cli(*args, cwd=d)
@@ -683,31 +718,17 @@ def golden_outputs(d: Path) -> dict[str, bytes]:
 
 class TestGoldenOutputs:
     def test_successful_fits_and_surfaces_match_golden_bytes(self, tmp_path):
-        # the unmarked fit, both multitype modes (the shared-terms one ridged)
-        # and two surfaces, pinned so that a refactor of the fitting path
-        # shows any change in the bytes it writes
+        # the unmarked fit, both multitype modes (the shared-terms one ridged),
+        # a fit on an IDW covariate and their surfaces, pinned so that a
+        # refactor of the fitting path shows any change in the bytes it writes
         for name, data in golden_outputs(tmp_path).items():
             assert data == (FIXTURES / f"golden_{name}").read_bytes(), name
 
 
-# a covariate fit and its surface, written before the model file stored IDW
-# samples: the model JSON holds the older "external" term with one value per
-# fine cell. Regenerate them only from a checkout of that older format.
-COVARIATE_FIT = ("fit", "--pattern", "cov_u.csv", "--window", WINDOW, "--terms", "1,x,z",
-                 "--covariate", "z=cov20.csv", "--covariate-grid", "8", "--grid", "6",
-                 "--out", "covariate.json")
-COVARIATE_SURFACE = ("predict-grid", "--model", "covariate.json", "--grid", "5",
-                     "--out", "covariate_surface.csv")
-
-
-def write_covariate_inputs(d: Path) -> None:
-    """Write the seeded pattern and 20 covariate samples of ``COVARIATE_FIT`` to ``d``."""
-    rng = np.random.default_rng(2025)
-    write_pattern_csv(PointPattern.from_arrays(UNIT, *rng.random((3, 150))), d / "cov_u.csv")
-    samples = [CovariateSample(SpaceTimePoint(*rng.random(3)), float(rng.normal())) for _ in range(20)]
-    write_covariate_samples(samples, d / "cov20.csv")
-
-
+# legacy_external_model.json and legacy_external_surface.csv are COVARIATE_FIT
+# and COVARIATE_SURFACE written before the model file stored IDW samples: the
+# model JSON holds the older "external" term with one value per fine cell.
+# Regenerate them only from a checkout of that older format.
 class TestCovariateModelFormats:
     def test_older_external_model_predicts_the_same_bytes(self, tmp_path):
         (tmp_path / "covariate.json").write_bytes((FIXTURES / "legacy_external_model.json").read_bytes())
@@ -725,8 +746,13 @@ class TestCovariateModelFormats:
         term = json.loads((tmp_path / "covariate.json").read_text())["terms"][2]
         assert term["type"] == "external_idw" and len(term["samples"]) == 20
         assert "values" not in term
-        want = (FIXTURES / "legacy_external_surface.csv").read_bytes()
-        assert (tmp_path / "covariate_surface.csv").read_bytes() == want
+        # the model recomputes its IDW cells, which may differ from the older stored
+        # grid in the last bits: the same header and x,y,t text, intensities within 1e-12
+        got, want = ([line.rsplit(",", 1) for line in path.read_text().splitlines()]
+                     for path in (tmp_path / "covariate_surface.csv", FIXTURES / "legacy_external_surface.csv"))
+        assert [row[0] for row in got] == [row[0] for row in want]
+        np.testing.assert_allclose([float(row[1]) for row in got[1:]], [float(row[1]) for row in want[1:]],
+                                   rtol=1e-12, atol=0)
 
 
 # a fresh interpreter: only a fit may load scipy, so the commands that do not

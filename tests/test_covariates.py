@@ -35,13 +35,17 @@ def random_samples(rng, window, n):
 
 
 def oracle_idw(queries, xyz, vals, cfg):
-    """Direct IDW: every (query, sample) scaled squared distance in one array."""
+    """Direct IDW: every (query, sample) scaled squared distance in one array.
+
+    A value is ``v_0 + sum_j w_j (v_j - v_0) / sum_j w_j``, centred on the
+    first sample's value ``v_0``, with both sums numpy row reductions.
+    """
     scale = np.asarray(cfg.scaling)
     d2 = (((queries / scale)[:, None, :] - (xyz / scale)[None, :, :]) ** 2).sum(axis=2)
     near = d2 < 1e-24
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w = d2 ** (-cfg.power / 2.0)
-        out = ((w / w.sum(axis=1, keepdims=True)) * vals).sum(axis=1)
+        out = np.einsum("ij,j->i", w, vals - vals[0]) / np.einsum("ij->i", w) + vals[0]
     for r in np.flatnonzero(near.any(axis=1)):
         out[r] = np.mean(vals[near[r]])
     return out
@@ -292,6 +296,65 @@ class TestLazyGrid:
     def test_invalid_samples_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CovariateGrid(UNIT, GridResolution(2, 2, 2), **kwargs)
+
+
+class TestCentredIdw:
+    """The kernel's sums are centred on the first sample's value, and it checks
+    coincidence only where every axis comes close to some sample."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(idw_problems(), st.integers(-2**30, 2**30))
+    def test_constant_field_is_exact_in_every_cell(self, problem, k):
+        # a dyadic c keeps the mean of coincident samples exact too
+        window, res, cfg, samples = problem
+        c = k / 1024.0
+        grid = smooth_to_grid([CovariateSample(s.location, c) for s in samples], window, res, cfg)
+        assert (grid.values == c).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(idw_problems(), st.floats(-1e6, 1e6))
+    def test_lone_sample_is_exact_on_the_whole_grid(self, problem, value):
+        window, res, cfg, samples = problem
+        grid = smooth_to_grid([CovariateSample(samples[-1].location, value)], window, res, cfg)
+        assert (grid.values == value).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(lazy_problems(), st.data())
+    def test_any_order_split_and_block_size_match_the_oracle(self, problem, data):
+        window, res, cfg, samples = problem
+        want = oracle_idw(cell_centers(window, res), *sample_arrays(samples), cfg)
+        ids = data.draw(st.lists(st.integers(0, res.n_cells - 1), min_size=1, max_size=3 * res.n_cells))
+        ids = data.draw(st.permutations(ids))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(ids)), max_size=4)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covariates, "_READ_CHUNK", data.draw(st.integers(1, 8)))
+            mp.setattr(covariates, "_BLOCK_PAIRS", data.draw(st.integers(1, 3 * len(samples))))
+            grid = smooth_to_grid(samples, window, res, cfg)
+            for a, b in zip([0, *cuts], [*cuts, len(ids)]):
+                assert grid.values_at(ids[a:b]).tobytes() == want[ids[a:b]].tobytes()
+            assert grid.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "t"])
+    def test_matching_a_center_on_two_axes_is_not_coincident(self, axis):
+        # each axis of cell 7's center meets one of the two samples, so the
+        # cell is checked, but neither sample sits on the center
+        window = Window.from_bounds(0, 1000, 0, 1000, 2000, 2020)
+        res, cfg = GridResolution(4, 3, 2), IdwConfig.for_window(window)
+        center = cell_centers(window, res)[7]
+        offsets = 1e-3 * np.eye(3)[[axis, (axis + 1) % 3]] * window.lengths
+        samples = [sample(*(center + offsets[0]), 1.0), sample(*(center + offsets[1]), -1.0)]
+        got = smooth_to_grid(samples, window, res, cfg).values
+        assert got.tobytes() == oracle_idw(cell_centers(window, res), *sample_arrays(samples), cfg).tobytes()
+        assert abs(got[7]) < 1e-9  # the two samples are about equally far: not either value
+        samples.append(sample(*center, 5.0))
+        assert smooth_to_grid(samples, window, res, cfg).values[7] == 5.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-5, 40), max_size=60))
+    def test_sorted_distinct_ids_equal_np_unique(self, ids):
+        ids = np.array(ids, dtype=np.intp)
+        got, want = covariates._distinct(ids), np.unique(ids)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 class TestNearestGridValue:
