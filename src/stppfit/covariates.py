@@ -5,7 +5,8 @@ External covariates observed at scattered locations are smoothed onto a
 fine regular grid by three-dimensional inverse-distance weighting (IDW),
 ``v_0 + sum_j w_j (v_j - v_0) / sum_j w_j`` with ``w_j = d_j^-p``, and
 looked up by containing cell, which for cell centers is the nearest grid
-point. The grid computes a cell only when a lookup first reads it.
+point. The grid computes a cell only when a lookup first reads it, and a
+cell whose value is not finite is never stored: it fails on every read.
 
 Space and time carry different units, so raw 3D Euclidean distance is not
 meaningful; distances are computed after dividing each axis by a
@@ -21,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .cubature import GridResolution, cell_axes, cell_centers, cell_indices
+from .cubature import GridResolution, cell_axes, cell_indices
 from .patterns import SpaceTimePoint, Window, _readonly
 
 __all__ = [
@@ -46,9 +47,6 @@ _COINCIDENT_DIST = 1e-12
 
 # Cap on the (query, sample) pairs in one IDW block buffer.
 _BLOCK_PAIRS = 1 << 15
-
-# Cell ids CovariateGrid.values_at checks and fills per step: bounds a read's memory.
-_READ_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -91,12 +89,12 @@ class IdwConfig:
 
 
 def _sample_table(samples) -> np.ndarray:
-    """The samples, ``CovariateSample`` objects or an (J, 4) array of ``x, y, t, value`` rows, as that array."""
+    """``CovariateSample`` objects or an (J, 4) array-like of ``x, y, t, value`` rows as a new finite array, J >= 1."""
     if not isinstance(samples, np.ndarray):
-        samples = [(*s.location, s.value) for s in samples]
+        samples = [(*s.location, s.value) if isinstance(s, CovariateSample) else s for s in samples]
     table = np.array(samples, dtype=float)
-    if not len(table):
-        raise ValueError("IDW needs at least one covariate sample")
+    if table.ndim != 2 or table.shape[1] != 4 or not len(table) or not np.isfinite(table).all():
+        raise ValueError("IDW needs at least one covariate sample, as finite x, y, t, value rows")
     return table
 
 
@@ -115,7 +113,7 @@ def _idw_cells(axes, cells: np.ndarray, samples: np.ndarray, cfg: IdwConfig, out
     is computed with it. A cell within ``_COINCIDENT_DIST`` of samples gets
     the mean of their values; a rounded sum of terms ``D_a >= 0`` is at
     least each term, so only cells that close to a sample on every axis are
-    checked.
+    checked. A non-finite value raises a ValueError before its block is stored.
     """
     s, vals, offsets = samples[:, :3] / np.asarray(cfg.scaling), samples[:, 3], samples[:, 3] - samples[0, 3]
     dx, dy, dt = (
@@ -148,6 +146,11 @@ def _idw_cells(axes, cells: np.ndarray, samples: np.ndarray, cfg: IdwConfig, out
             for r in np.flatnonzero(near_x[ix] & near_y[iy] & near_t[it]):
                 if (hit := d[r] < eps2).any():
                     v[r] = float(np.mean(vals[hit]))
+            if not np.isfinite(v).all():
+                r = int(np.argmin(np.isfinite(v)))
+                x, y, t = (a[i] for a, i in zip(axes, (ix[r], iy[r], it[r])))
+                raise ValueError(f"grid values must all be finite: at the cell centred at ({x:g}, {y:g}, {t:g}), the "
+                                 f"IDW weights 1/d^p at power {cfg.power:g} leave the range of double precision")
             out[c] = v
 
 
@@ -163,7 +166,7 @@ def idw_interpolate(samples, query: SpaceTimePoint, cfg: IdwConfig | None = None
     Weights are 1 / d^p with d the per-axis scaled Euclidean distance. A
     query within 1e-12 scaled distance of one or more sample sites returns
     the plain mean of those samples' values, which keeps the interpolant
-    exact at its sampling locations.
+    exact at its sampling locations; weights beyond double precision raise.
     """
     axes, cfg, out = ([query.x], [query.y], [query.t]), cfg if cfg is not None else IdwConfig(), np.empty(1)
     _idw_cells(axes, np.zeros(1, dtype=np.intp), _sample_table(samples), cfg, out)
@@ -174,10 +177,10 @@ class CovariateGrid:
     """Covariate values on a regular grid, in cell-id order (x fastest, then y, then t).
 
     ``CovariateGrid(window, resolution, values)`` holds one value per cell.
-    ``CovariateGrid(window, resolution, samples=table, idw=cfg)``, which
-    ``smooth_to_grid`` builds, holds IDW samples instead, an (J, 4) array of
-    ``x, y, t, value`` rows, and computes a cell when ``values_at`` or
-    ``values`` first reads it, bit-identical to ``idw_interpolate`` at its center.
+    ``CovariateGrid(window, resolution, samples=table, idw=cfg)``, which ``smooth_to_grid``
+    builds, holds IDW samples instead, an (J, 4) array of ``x, y, t, value`` rows, and
+    computes a cell when ``values_at`` or ``values`` first reads it, bit-identical to
+    ``idw_interpolate`` at its center; a cell whose value is not finite fails every read.
     """
 
     def __init__(self, window: Window, resolution: GridResolution, values=None, *,
@@ -192,13 +195,10 @@ class CovariateGrid:
             if not np.isfinite(self._cache).all():
                 raise ValueError("grid values must all be finite")
             return
-        table = np.array(samples, dtype=float)
         if values is not None or not isinstance(idw, IdwConfig):
             raise ValueError("a grid takes either values, or samples with an IdwConfig")
-        if table.ndim != 2 or table.shape[1] != 4 or not len(table) or not np.isfinite(table).all():
-            raise ValueError("IDW needs at least one covariate sample, as finite x, y, t, value rows")
         # nan marks a cell not computed yet: a computed value is finite or never stored
-        self.samples, self.idw, self._cache = _readonly(table), idw, np.full(n, np.nan)
+        self.samples, self.idw, self._cache = _readonly(_sample_table(samples)), idw, np.full(n, np.nan)
 
     @property
     def values(self) -> np.ndarray:
@@ -207,23 +207,15 @@ class CovariateGrid:
         return _readonly(self._cache)
 
     def values_at(self, ids) -> np.ndarray:
-        """The values of cells ``ids`` (repeats allowed); computes only the distinct cells not read yet."""
+        """Cells ``ids`` (repeats allowed), checked to lie in 0 ... n_cells - 1; one fill computes the unread."""
         ids = np.asarray(ids, dtype=np.intp)
-        for i0 in range(0, ids.size, _READ_CHUNK):
-            chunk = ids[i0 : i0 + _READ_CHUNK]
-            missing = np.isnan(self._cache[chunk])
-            if missing.any():
-                self._fill(_distinct(chunk[missing]))
+        bad = (ids < 0) | (ids >= self._cache.size)
+        if bad.any():
+            raise IndexError(f"cell id {ids[bad][0]} is outside 0 ... {self._cache.size - 1}")
+        missing = ids[np.isnan(self._cache[ids])]
+        if missing.size:
+            _idw_cells(cell_axes(self.window, self.resolution), _distinct(missing), self.samples, self.idw, self._cache)
         return self._cache[ids]
-
-    def _fill(self, cells: np.ndarray) -> None:
-        _idw_cells(cell_axes(self.window, self.resolution), cells, self.samples, self.idw, self._cache)
-        bad = cells[~np.isfinite(self._cache[cells])]
-        if bad.size:
-            x, y, t = cell_centers(self.window, self.resolution)[bad[0]]
-            self._cache[bad] = np.nan  # so the cell stays unread and fails again when read
-            raise ValueError(f"grid values must all be finite: at the cell centred at ({x:g}, {y:g}, {t:g}), the "
-                             f"IDW weights 1/d^p at power {self.idw.power:g} leave the range of double precision")
 
 
 def smooth_to_grid(
@@ -243,7 +235,7 @@ def smooth_to_grid(
     whole 64^3 grid with 200 samples is 52 million (cell, sample) pairs.
     """
     cfg = cfg if cfg is not None else IdwConfig.for_window(window)
-    return CovariateGrid(window, res, samples=_sample_table(samples), idw=cfg)
+    return CovariateGrid(window, res, samples=samples, idw=cfg)
 
 
 @dataclass(frozen=True)

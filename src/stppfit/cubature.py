@@ -170,7 +170,8 @@ def build_scheme(pattern: PointPattern, res: GridResolution = DEFAULT_RESOLUTION
     Each point's weight is the cell volume divided by the total number of
     cubature points (data and dummy) in its cell, so the weights sum to
     the window volume. Warns when the dummy count does not exceed the data
-    count and when the pattern contains exactly duplicated points.
+    count and when the pattern contains exactly duplicated points. Raises a
+    ValueError when cells are so narrow that a centre bins into another cell.
     """
     n = pattern.n
     m = res.n_cells
@@ -189,10 +190,16 @@ def build_scheme(pattern: PointPattern, res: GridResolution = DEFAULT_RESOLUTION
             stacklevel=2,
         )
     window = pattern.window
+    # dummy k, the centre of cell k, bins into cell k exactly when each axis's centres bin into their own cells
+    for (lo, hi), k, centres, name in zip(window.ranges, res.per_axis, cell_axes(window, res), "xyt"):
+        if not np.array_equal(_axis_indices(centres, lo, hi, k, name), np.arange(k)):
+            raise ValueError(f"grid too fine for its window: at {k} cells along {name}, a cell is {(hi - lo) / k!r} "
+                             f"wide, too narrow for the range ({lo}, {hi}) to give each its own centre")
     dummies = cell_centers(window, res)
     coords = np.vstack([pattern.coords(), dummies]) if n else dummies
-    ids = cell_indices(window, res, coords[:, 0], coords[:, 1], coords[:, 2])
-    weights = res.cell_volume(window) / np.bincount(ids, minlength=m)[ids]
+    ids = cell_indices(window, res, *coords[:n].T)
+    counts = np.bincount(ids, minlength=m) + 1  # + 1: the cell's own dummy
+    weights = res.cell_volume(window) / np.r_[counts[ids], counts]
     return CubatureScheme(window, res, coords, weights, n)
 
 

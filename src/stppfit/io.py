@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariates import CoordinateMonomial, CovariateGrid, ExternalCovariate, IdwConfig, Intercept
+from .covariates import CoordinateMonomial, CovariateGrid, ExternalCovariate, IdwConfig, Intercept, _sample_table
 from .cubature import GridResolution, cell_axes
 from .glm import FitResult
 from .model import FittedModel, MarkFixedEffects, ModelSpec
@@ -180,8 +180,8 @@ def read_covariate_samples(path) -> np.ndarray:
 
 
 def write_covariate_samples(samples, path) -> None:
-    table = np.array([(*s.location, s.value) for s in samples], dtype=float).reshape(-1, 4)
-    _write_csv(path, "x,y,t,value", [("%.17g,%.17g,%.17g,%.17g\n", *table.T)])
+    """Write ``CovariateSample`` objects or an (J, 4) array of ``x, y, t, value`` rows, J >= 1."""
+    _write_csv(path, "x,y,t,value", [("%.17g,%.17g,%.17g,%.17g\n", *_sample_table(samples).T)])
 
 
 def write_surface_csv(path, window: Window, res: GridResolution, blocks) -> int:

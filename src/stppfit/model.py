@@ -246,8 +246,8 @@ def _fit(scheme: CubatureScheme, spec: ModelSpec, irls: IrlsConfig | None,
         design = DesignMatrix(_expand_multitype(base.values, m), _column_names(spec, levels))
         # the ridge acts on the m - 1 mark contrasts that follow the shared terms
         penalty = np.r_[np.zeros(base.n_cols), np.full(m - 1, spec.ridge_on_marks)]
-    else:
-        design, penalty = DesignMatrix(base.values, base.column_names, m), None
+    else:  # at m = 1 the base design, already checked, is the whole design
+        design, penalty = (base if m == 1 else DesignMatrix(base.values, base.column_names, m)), None
     y = replicated_responses(scheme).ravel() if levels else responses(scheme)
     # every level shares the one weight vector; at m = 1 the ravel is a view, not a copy
     w = np.broadcast_to(scheme.weights, (m, scheme.size)).ravel()

@@ -79,6 +79,18 @@ class TestIdwInterpolate:
         with pytest.raises(ValueError, match="at least one"):
             idw_interpolate([], SpaceTimePoint(0, 0, 0))
 
+    def test_overflowing_weights_raise_the_grid_error(self):
+        # one sample 1e-4 away at power 400: its weight 1e1600 leaves double precision
+        with pytest.raises(ValueError, match=r"centred at \(0\.5001, 0\.5, 0\.5\), the IDW weights 1/d\^p at power 400"):
+            idw_interpolate([sample(0.5, 0.5, 0.5, 1.0)], SpaceTimePoint(0.5001, 0.5, 0.5), IdwConfig(power=400.0))
+
+    @pytest.mark.parametrize("column", [0, 3], ids=["x", "value"])
+    def test_nonfinite_array_sample_raises_the_sample_error(self, column):
+        table = np.array([[0.5, 0.5, 0.5, 1.0], [0.1, 0.2, 0.3, 2.0]])
+        table[1, column] = np.nan
+        with pytest.raises(ValueError, match="at least one covariate sample, as finite x, y, t, value rows"):
+            idw_interpolate(table, SpaceTimePoint(0.2, 0.2, 0.2))
+
     def test_bounded_by_sample_range(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
@@ -282,6 +294,17 @@ class TestLazyGrid:
         grid.values_at(np.arange(64))
         assert computed == [2, 1, 61]
 
+    def test_out_of_range_ids_raise_and_leave_the_cache_alone(self):
+        rng = np.random.default_rng(73)
+        samples, res = random_samples(rng, UNIT, 5), GridResolution(2, 2, 2)
+        grid = smooth_to_grid(samples, UNIT, res)
+        for ids, first in (([-1], -1), ([3, 8, -2], 8), ([0, -9], -9)):
+            with pytest.raises(IndexError, match=f"cell id {first} is outside 0 ... 7"):
+                grid.values_at(ids)
+        fresh = smooth_to_grid(samples, UNIT, res)
+        assert grid.values_at([7]).tobytes() == fresh.values_at([7]).tobytes()
+        assert grid.values.tobytes() == fresh.values.tobytes()
+
     def test_given_values_are_never_computed(self):
         grid = CovariateGrid(UNIT, GridResolution(2, 1, 1), np.array([5.0, 9.0]))
         assert grid.samples is None and grid.idw is None
@@ -327,7 +350,6 @@ class TestCentredIdw:
         ids = data.draw(st.permutations(ids))
         cuts = sorted(data.draw(st.lists(st.integers(0, len(ids)), max_size=4)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(covariates, "_READ_CHUNK", data.draw(st.integers(1, 8)))
             mp.setattr(covariates, "_BLOCK_PAIRS", data.draw(st.integers(1, 3 * len(samples))))
             grid = smooth_to_grid(samples, window, res, cfg)
             for a, b in zip([0, *cuts], [*cuts, len(ids)]):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -451,6 +452,43 @@ class TestSchemeProperties:
                 p[axis] = lo + j * (hi - lo) / n
                 cells[axis] = min(j, n - 1)
                 assert_bins_into(window, res, p, cells)
+
+
+@st.composite
+def fine_grids(draw):
+    """Windows at offsets up to calendar scale, some axes only 1-64 ulps wide, with 1-64 cells per axis."""
+    ranges = []
+    for _ in range(3):
+        lo = draw(st.floats(-2e9, 2e9) | st.sampled_from([0.0, 2000.0, 609755717.1857994]))
+        if draw(st.booleans()):
+            ranges.append((lo, lo + draw(st.integers(1, 64)) * float(np.spacing(max(abs(lo), 1.0)))))
+        else:
+            ranges.append((lo, lo + draw(st.floats(0.01, 1000.0))))
+    return Window(*ranges), GridResolution(*(draw(st.integers(1, 64)) for _ in range(3)))
+
+
+class TestGridTooFine:
+    def test_ulp_narrow_cells_raise_naming_axis_width_and_range(self):
+        lo, hi = 609755717.1857994, 609755717.1858023
+        window, res = Window((0.0, 1.0), (lo, hi), (2000.0, 2020.0)), GridResolution(2, 42, 3)
+        message = f"at 42 cells along y, a cell is {(hi - lo) / 42!r} wide, too narrow for the range ({lo}, {hi})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            quiet_scheme(window, res, [0.5, (lo + hi) / 2, 2010.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(fine_grids(), st.lists(st.tuples(*3 * [st.floats(0, 1)]), max_size=10))
+    def test_raises_exactly_when_a_centre_leaves_its_cell(self, grid, fractions):
+        window, res = grid
+        lo, hi = np.array(window.ranges).T
+        xyt = np.clip(lo + np.reshape(fractions, (-1, 3)) * (hi - lo), lo, hi)
+        if not (cell_indices(window, res, *cell_centers(window, res).T) == np.arange(res.n_cells)).all():
+            with pytest.raises(ValueError, match="grid too fine for its window"):
+                quiet_scheme(window, res, xyt)
+            return
+        scheme = quiet_scheme(window, res, xyt)
+        ids = cell_indices(window, res, *scheme.coords.T)
+        want = res.cell_volume(window) / np.bincount(ids, minlength=res.n_cells)[ids]
+        assert scheme.weights.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -260,6 +260,20 @@ class TestCovariateCsv:
         assert again.shape == (12, 4)
         assert again.tolist() == [[*s.location, s.value] for s in samples]
 
+    def test_array_rows_write_the_bytes_of_their_samples(self, tmp_path):
+        rng = np.random.default_rng(6)
+        table = rng.random((7, 4))
+        write_covariate_samples(table, tmp_path / "rows.csv")
+        write_covariate_samples([CovariateSample(SpaceTimePoint(*r[:3]), r[3]) for r in table], tmp_path / "objects.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "objects.csv").read_bytes()
+        assert read_covariate_samples(tmp_path / "rows.csv").tolist() == table.tolist()
+
+    @pytest.mark.parametrize("rows", [[], [[0.5, 0.5, np.inf, 1.0]], [[0.5, 0.5, 0.5]]], ids=["empty", "inf", "short"])
+    def test_rows_idw_cannot_use_are_not_written(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="at least one covariate sample"):
+            write_covariate_samples(np.array(rows), tmp_path / "samples.csv")
+        assert not (tmp_path / "samples.csv").exists()
+
 
 class TestModelJson:
     def unmarked_model(self):
