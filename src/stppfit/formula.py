@@ -2,9 +2,10 @@
 
 A log-intensity expression is a signed sum of products of numbers and the
 coordinate variables x, y, t with optional integer exponents, e.g.
-``4 + 1.2*x - 0.8*t`` or ``2 + 0.5*x^2*y``. Every expression writable
-here is also expressible as a model term list, which closes the loop
-between simulation truths and fitted models.
+``4 + 1.2*x - 0.8*t`` or ``2 + 0.5*x^2*y``. Its terms are the model terms
+``Intercept`` and ``CoordinateMonomial``, so every expression is a term list with
+coefficients, which closes the loop between simulation truths and fitted models;
+as in a term list, a product above ``MAX_MONOMIAL_DEGREE`` is refused when parsed.
 
 A term list is a comma-separated sequence like ``1,x,y,t,x*t,ndvi`` where
 ``1`` is the intercept, products of coordinates are monomials, and any
@@ -55,48 +56,30 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 @dataclass(frozen=True)
 class LogLinearExpression:
-    """Sum of coefficient * x^i y^j t^k monomials, used inside exp()."""
+    """Sum of coefficient * model term, used inside exp(): ``monomials`` holds ``(term, coefficient)``
+    pairs, each ``Intercept`` or ``CoordinateMonomial`` term once, in order of first appearance.
+    A product above ``MAX_MONOMIAL_DEGREE`` is not a term, so the parser refuses it."""
 
-    monomials: tuple[tuple[tuple[int, int, int], float], ...]
+    monomials: tuple[tuple[CoordinateMonomial, float], ...]
 
     def log_intensity(self, x, y, t) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(x)
-        for (i, j, k), coef in self.monomials:
-            term = np.full_like(x, coef)
-            for arr, e in zip((x, y, t), (i, j, k)):
-                if e:
-                    term = term * arr**e
-            out = out + term
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        for term, coef in self.monomials:
+            out = out + coef * term.evaluate(x, y, t)
         return out
 
     def intensity(self, x, y, t) -> np.ndarray:
         return np.exp(self.log_intensity(x, y, t))
 
-    def terms(self) -> tuple[CovariateFunction, ...]:
-        """Matching model terms, one per monomial (the constant becomes an intercept)."""
-        built = []
-        for (i, j, k), _ in self.monomials:
-            built.append(Intercept() if (i, j, k) == (0, 0, 0) else CoordinateMonomial(i, j, k))
-        return tuple(built)
+    def terms(self) -> tuple[CoordinateMonomial, ...]:
+        return tuple(term for term, _ in self.monomials)
 
     def coefficients(self) -> np.ndarray:
         return np.array([coef for _, coef in self.monomials], dtype=float)
 
     def canonical(self) -> str:
-        parts = []
-        for (i, j, k), coef in self.monomials:
-            mono = CoordinateMonomial(i, j, k).name
-            if mono == "1":
-                piece = repr(coef)
-            elif coef == 1.0:
-                piece = mono
-            else:
-                piece = f"{coef!r}*{mono}"
-            parts.append(piece)
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(repr(c) if t.name == "1" else t.name if c == 1.0 else f"{c!r}*{t.name}"
+                          for t, c in self.monomials) or "0"
 
 
 def _parse_product(tokens, pos, sign, text):
@@ -104,8 +87,8 @@ def _parse_product(tokens, pos, sign, text):
 
     A number factor multiplies the coefficient, which starts at ``sign``;
     x, y or t with an optional ``^n`` adds n to that variable's exponent.
-    Returns the coefficient, the exponents, the position after the product
-    and the count of number factors.
+    Returns the coefficient, the x, y, t exponents as a list, the position
+    after the product and the count of number factors.
     """
     coef, exps, numbers = sign, [0, 0, 0], 0
     while True:
@@ -132,19 +115,19 @@ def _parse_product(tokens, pos, sign, text):
         else:
             raise ValueError(f"unexpected token {val!r} in {text!r}")
         if tokens[pos : pos + 1] != [("op", "*")]:
-            return coef, tuple(exps), pos, numbers
+            return coef, exps, pos, numbers
         pos += 1
 
 
 def parse_log_linear(text: str) -> LogLinearExpression:
     """Parse a signed sum of coefficient-times-monomial products.
 
-    Terms are joined by ``+`` or ``-``; every coefficient must be finite.
+    Terms are joined by ``+`` or ``-``; coefficients must be finite, degrees at most ``MAX_MONOMIAL_DEGREE``.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty log-intensity expression")
-    coefs: dict[tuple[int, int, int], float] = {}  # insertion order is term order
+    coefs: dict[CoordinateMonomial, float] = {}  # insertion order is term order
     pos = 0
     while pos < len(tokens):
         if pos and tokens[pos] not in (("op", "+"), ("op", "-")):
@@ -154,12 +137,12 @@ def parse_log_linear(text: str) -> LogLinearExpression:
             if tokens[pos][1] == "-":
                 sign = -sign
             pos += 1
-        coef, key, pos, _ = _parse_product(tokens, pos, sign, text)
-        coefs[key] = coefs.get(key, 0.0) + coef
-    for key, coef in coefs.items():
+        coef, exps, pos, _ = _parse_product(tokens, pos, sign, text)
+        term = CoordinateMonomial(*exps) if any(exps) else Intercept()
+        coefs[term] = coefs.get(term, 0.0) + coef
+    for term, coef in coefs.items():
         if not math.isfinite(coef):
-            name = CoordinateMonomial(*key).name
-            raise ValueError(f"coefficient of {name} in {text!r} is not finite")
+            raise ValueError(f"coefficient of {term.name} in {text!r} is not finite")
     return LogLinearExpression(tuple(coefs.items()))
 
 

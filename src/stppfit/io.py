@@ -292,7 +292,6 @@ def model_from_dict(d: dict) -> FittedModel:
         window=window_from_dict(_entry(d, "window")),
         resolution=GridResolution(*d["grid_resolution"]),
         n_data=int(d["n_data"]),
-        n_dummy=int(d["n_dummy"]),
         fit=FitResult(
             coefficients=np.array([c["estimate"] for c in coefficients], dtype=float),
             covariance=np.array(d["covariance"], dtype=float),
@@ -308,6 +307,8 @@ def model_from_dict(d: dict) -> FittedModel:
         raise ValueError(f"coefficient names {names} do not match the model's columns {expected}")
     if float(fit["deviance"]) != model.fit.deviance:
         raise ValueError(f"entry 'deviance' is not {model.fit.deviance!r}, the last entry of 'deviance_trace'")
+    if int(d["n_dummy"]) != model.n_dummy:
+        raise ValueError(f"entry 'n_dummy' is not {model.n_dummy}, the cell count of 'grid_resolution'")
     return model
 
 

@@ -138,7 +138,6 @@ class FittedModel:
     window: Window
     resolution: GridResolution
     n_data: int
-    n_dummy: int
     fit: FitResult
     levels: tuple[str, ...] = ()
 
@@ -154,6 +153,11 @@ class FittedModel:
     @property
     def column_names(self) -> tuple[str, ...]:
         return _column_names(self.spec, self.levels)
+
+    @property
+    def n_dummy(self) -> int:
+        """Dummy points: one per grid cell."""
+        return self.resolution.n_cells
 
     @property
     def is_marked(self) -> bool:
@@ -252,7 +256,7 @@ def _fit(scheme: CubatureScheme, spec: ModelSpec, irls: IrlsConfig | None,
     # every level shares the one weight vector; at m = 1 the ravel is a view, not a copy
     w = np.broadcast_to(scheme.weights, (m, scheme.size)).ravel()
     return FittedModel(spec=spec, window=scheme.window, resolution=scheme.resolution, n_data=scheme.n_data,
-                       n_dummy=scheme.n_dummy, fit=fit_irls(design, y, w, irls, penalty), levels=levels)
+                       fit=fit_irls(design, y, w, irls, penalty), levels=levels)
 
 
 def fit_stpp(

@@ -136,6 +136,17 @@ class TestSimulateCommand:
         assert "expected '+' or '-'" in r.stderr
         assert not (workdir / "juxt.csv").exists()
 
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", ("--seed", "1", "--out", "p.csv")),
+        ("convergence-study", ("--seeds", "1", "--resolutions", "3", "--out", "s.csv")),
+    ])
+    def test_degree_above_cap_is_usage_error_before_any_file(self, tmp_path, command, extra):
+        r = run_cli(command, "--window", WINDOW, "--log-intensity", "3 + x^7", "--lambda-max", "60", *extra,
+                    cwd=tmp_path)
+        assert r.returncode == 2
+        assert "argument --log-intensity: total monomial degree is capped at 6" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFitCommand:
     def test_intercept_only_prints_closed_form(self, workdir):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stppfit import (
     CoordinateMonomial,
@@ -9,19 +11,21 @@ from stppfit import (
     ExternalCovariate,
     GridResolution,
     Intercept,
+    LogLinearExpression,
     Window,
     parse_log_linear,
     parse_term_list,
 )
+from stppfit.covariates import MAX_MONOMIAL_DEGREE
 
 
 class TestParseLogLinear:
     def test_basic_expression(self):
         expr = parse_log_linear("4 + 1.2*x - 0.8*t")
         assert expr.monomials == (
-            ((0, 0, 0), 4.0),
-            ((1, 0, 0), 1.2),
-            ((0, 0, 1), -0.8),
+            (Intercept(), 4.0),
+            (CoordinateMonomial(1, 0, 0), 1.2),
+            (CoordinateMonomial(0, 0, 1), -0.8),
         )
 
     def test_intensity_evaluation(self):
@@ -32,19 +36,19 @@ class TestParseLogLinear:
 
     def test_exponents_and_products(self):
         expr = parse_log_linear("2 + 0.5*x^2*y")
-        assert expr.monomials == (((0, 0, 0), 2.0), ((2, 1, 0), 0.5))
+        assert expr.monomials == ((Intercept(), 2.0), (CoordinateMonomial(2, 1, 0), 0.5))
 
     def test_repeated_variables_multiply(self):
         expr = parse_log_linear("x*x*t")
-        assert expr.monomials == (((2, 0, 1), 1.0),)
+        assert expr.monomials == ((CoordinateMonomial(2, 0, 1), 1.0),)
 
     def test_repeated_monomials_merge(self):
         expr = parse_log_linear("1 + 1 + 0.5*x + 0.25*x")
-        assert expr.monomials == (((0, 0, 0), 2.0), ((1, 0, 0), 0.75))
+        assert expr.monomials == ((Intercept(), 2.0), (CoordinateMonomial(1, 0, 0), 0.75))
 
     def test_leading_minus(self):
         expr = parse_log_linear("-3 + x")
-        assert expr.monomials[0] == ((0, 0, 0), -3.0)
+        assert expr.monomials[0] == (Intercept(), -3.0)
 
     def test_terms_and_coefficients_align(self):
         expr = parse_log_linear("4 + 1.2*x - 0.8*t")
@@ -69,6 +73,55 @@ class TestParseLogLinear:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_log_linear(bad)
+
+    def test_degree_above_cap_rejected_when_parsed(self):
+        with pytest.raises(ValueError, match=f"total monomial degree is capped at {MAX_MONOMIAL_DEGREE}"):
+            parse_log_linear("3 + x^7")
+        with pytest.raises(ValueError, match="capped"):
+            parse_log_linear("3 + x^3*y^2*t^2")
+
+
+@st.composite
+def exponents(draw):
+    """x, y, t exponents of total degree at most MAX_MONOMIAL_DEGREE."""
+    i = draw(st.integers(0, MAX_MONOMIAL_DEGREE))
+    j = draw(st.integers(0, MAX_MONOMIAL_DEGREE - i))
+    return i, j, draw(st.integers(0, MAX_MONOMIAL_DEGREE - i - j))
+
+
+# finite, including 0 and +-1, and far enough from the limits that no product over- or underflows
+coefficients = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100)
+
+
+@st.composite
+def expressions(draw):
+    """1 to 5 distinct products, the constant as ``Intercept()``, with finite coefficients."""
+    exps = draw(st.lists(exponents(), min_size=1, max_size=5, unique=True))
+    coefs = draw(st.lists(coefficients, min_size=len(exps), max_size=len(exps)))
+    terms = (CoordinateMonomial(*e) if any(e) else Intercept() for e in exps)
+    return LogLinearExpression(tuple(zip(terms, coefs)))
+
+
+class TestExpressionProperties:
+    POINTS = np.random.default_rng(0).uniform(-2.0, 2.0, (3, 64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions())
+    def test_canonical_text_parses_back(self, expr):
+        assert parse_log_linear(expr.canonical()) == expr
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions())
+    def test_every_expression_is_a_term_list(self, expr):
+        assert parse_term_list(",".join(term.name for term in expr.terms())) == expr.terms()
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions())
+    def test_log_intensity_is_the_design_times_the_coefficients(self, expr):
+        columns = np.column_stack([term.evaluate(*self.POINTS) for term in expr.terms()])
+        coefs = expr.coefficients()
+        bound = 1e-12 * (np.abs(columns) @ np.abs(coefs))
+        assert (np.abs(expr.log_intensity(*self.POINTS) - columns @ coefs) <= bound).all()
 
 
 class TestParseTermList:

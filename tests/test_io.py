@@ -436,6 +436,18 @@ class TestModelJson:
         with pytest.raises(ValueError, match="deviance_trace needs at least the starting deviance"):
             model_from_dict(d)
 
+    def test_n_dummy_must_be_the_cell_count(self, tmp_path):
+        import json
+
+        d = json.loads((Path(__file__).parent / "fixtures" / "golden_unmarked.json").read_text())
+        assert d["n_dummy"] == np.prod(d["grid_resolution"])
+        d["n_dummy"] = 5
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=re.escape(
+                f"model file {str(path)!r}: entry 'n_dummy' is not 216, the cell count of 'grid_resolution'")):
+            load_model(path)
+
     def test_levels_without_multitype_mode_rejected(self):
         d = self.marked_dict()
         d["multitype_mode"] = None
