@@ -33,7 +33,7 @@ from .formula import covariate_names, parse_log_linear, parse_term_list
 from .glm import FitError, IrlsConfig
 from .io import (
     SCHEMA_VERSION,
-    format_rows,
+    fmt,
     load_model,
     read_covariate_samples,
     read_json,
@@ -41,6 +41,7 @@ from .io import (
     save_model,
     window_to_dict,
     write_json,
+    write_lines,
     write_pattern_csv,
     write_surface_csv,
 )
@@ -165,8 +166,7 @@ def _dummy_integral(window: Window, expr, res: GridResolution) -> float:
 
 def _csv_row(*cells) -> str:
     """One report row: floats as ``fmt`` text, None as an empty cell, anything else through ``str``."""
-    template = ",".join("" if c is None else "%.17g" if isinstance(c, float) else "%s" for c in cells)
-    return format_rows(template, *([c] for c in cells if c is not None))
+    return ",".join("" if c is None else fmt(c) if isinstance(c, float) else str(c) for c in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +200,15 @@ def _read_pattern(ns):
     """Read the --pattern CSV once, in --window or in the inferred bounding box."""
     if ns.window is not None and ns.infer_window:
         raise UsageError("--window and --infer-window conflict")
-    if ns.window is not None:
-        return read_pattern_csv(ns.pattern, window=ns.window, marked=ns.marked)
-    if not ns.infer_window:
+    if ns.window is None and not ns.infer_window:
         raise UsageError("pass --window x0,x1,y0,y1,t0,t1 or opt into --infer-window")
-    pattern = read_pattern_csv(ns.pattern, infer_window=True, marked=ns.marked)
-    window = pattern.window
-    warnings.warn(f"inferred window from data: x={window.x_range} y={window.y_range} t={window.t_range}")
+    pattern = read_pattern_csv(ns.pattern, window=ns.window, infer_window=ns.infer_window, marked=ns.marked)
+    if ns.infer_window:
+        window = pattern.window
+        warnings.warn(f"inferred window from data: x={window.x_range} y={window.y_range} t={window.t_range}")
+    if ns.marked and len(pattern.levels) < 2:
+        raise UsageError(f"--marked needs two or more mark levels, but {ns.pattern} has only the level "
+                         f"{pattern.levels[0]!r}; drop its mark column to fit the ground pattern")
     return pattern
 
 
@@ -228,12 +230,13 @@ def _build_externals(ns, window) -> dict[str, ExternalCovariate]:
         paths[name] = path
     idw = (IdwConfig.for_window(window, ns.idw_power) if ns.idw_scaling is None
            else IdwConfig(ns.idw_power, ns.idw_scaling))
-    return {
-        name: ExternalCovariate(
-            smooth_to_grid(read_covariate_samples(path), window, ns.covariate_grid, idw), name
-        )
-        for name, path in paths.items()
-    }
+    externals = {}
+    for name, path in paths.items():
+        samples = read_covariate_samples(path)
+        if not len(samples):
+            raise UsageError(f"--covariate {name}={path}: the file has a header but no sample rows")
+        externals[name] = ExternalCovariate(smooth_to_grid(samples, window, ns.covariate_grid, idw), name)
+    return externals
 
 
 def _print_fit_summary(model: FittedModel, verbose: bool) -> None:
@@ -355,9 +358,9 @@ def cmd_convergence_study(ns) -> int:
                               *[f"rmse_{n}" for n in names], "max_rmse", "integral_abs_err")]
     summary_lines += [summary_row(rung) for rung in rungs]
 
-    out.write_text("\n".join(detail_lines) + "\n", encoding="utf-8")
-    summary_out.write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
-    timings_out.write_text("\n".join(timing_lines) + "\n", encoding="utf-8")
+    write_lines(out, detail_lines)
+    write_lines(summary_out, summary_lines)
+    write_lines(timings_out, timing_lines)
     for line in summary_lines:
         print(line)
     return 0

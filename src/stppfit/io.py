@@ -1,7 +1,7 @@
-"""File formats: pattern, covariate-sample and surface CSV, model JSON.
+r"""File formats: pattern, covariate-sample and surface CSV, model JSON.
 
-All CSV output is UTF-8 with `\n` line endings and floats printed with 17
-significant digits; JSON uses Python's round-tripping float repr. Outputs
+Every output file is UTF-8, written here with ``newline="\n"`` (no `\r\n` on
+any platform); CSV floats have 17 significant digits, JSON the round-tripping repr. Outputs
 are therefore byte-deterministic for identical inputs under one BLAS thread
 count; the log-likelihood, AIC and simulated expected count come from long
 dot products whose last digits may move with that count. FORMATS.md in the
@@ -41,6 +41,7 @@ __all__ = [
     "model_from_dict",
     "window_to_dict",
     "window_from_dict",
+    "write_lines",
     "write_json",
     "read_json",
 ]
@@ -73,8 +74,14 @@ def _write_csv(path, header: str, blocks) -> None:
                 f.write(format_rows(template, *(c[a : a + _CHUNK] for c in columns)))
 
 
+def write_lines(path, lines) -> None:
+    r"""Write each of ``lines`` followed by ``\n``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(line + "\n" for line in lines)
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(obj, indent=2)])
 
 
 def read_json(path):
@@ -112,6 +119,8 @@ def _read_csv(path, expected_header, n_numeric):
     A UTF-8 byte-order mark and blank lines are skipped; errors name ``path:line``."""
     lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     rows = list(filter(str.strip, lines))
+    # each row's 0-based line index, a range when no line is blank (as in every file this module writes)
+    numbers = range(len(lines)) if len(rows) == len(lines) else [i for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise ValueError(f"{path}: empty file, expected header {expected_header!r}")
     if [c.strip() for c in rows[0].split(",")] != expected_header:
@@ -122,7 +131,7 @@ def _read_csv(path, expected_header, n_numeric):
         for a in range(0, n, _CHUNK):
             texts += _parse_rows(rows[1 + a : 1 + a + _CHUNK], table[a : a + _CHUNK], k)
     except ValueError:  # a block failed: parse its rows one at a time, stripped, to name the first bad line
-        for i in [i for i, ln in enumerate(lines) if ln.strip()][1:]:
+        for i in numbers[1:]:
             try:
                 _parse_rows([",".join(map(str.strip, lines[i].split(",")))], np.empty((1, n_numeric)), k)
             except ValueError as exc:
@@ -130,8 +139,7 @@ def _read_csv(path, expected_header, n_numeric):
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
         r, c = bad[0]
-        line = [i for i, ln in enumerate(lines) if ln.strip()][r + 1] + 1
-        raise ValueError(f"{path}:{line}: column {expected_header[c]} must be finite, got {table[r, c]}")
+        raise ValueError(f"{path}:{numbers[r + 1] + 1}: column {expected_header[c]} must be finite, got {table[r, c]}")
     return table, texts
 
 

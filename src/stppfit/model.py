@@ -92,8 +92,7 @@ class ModelSpec:
         return tuple(t.name for t in self.terms)
 
 
-def _term_matrix(terms, coords: np.ndarray) -> np.ndarray:
-    x, y, t = coords[:, 0], coords[:, 1], coords[:, 2]
+def _term_matrix(terms, x, y, t) -> np.ndarray:
     return np.column_stack([term.evaluate(x, y, t) for term in terms])
 
 
@@ -105,7 +104,7 @@ def build_design(scheme: CubatureScheme, spec: ModelSpec) -> DesignMatrix:
                 f"external covariate {t.name!r} grid window {t.grid.window} does not "
                 f"cover the scheme window {scheme.window}"
             )
-    return DesignMatrix(_term_matrix(spec.terms, scheme.coords), spec.term_names)
+    return DesignMatrix(_term_matrix(spec.terms, *scheme.coords.T), spec.term_names)
 
 
 def _column_names(spec: ModelSpec, levels) -> tuple[str, ...]:
@@ -215,13 +214,13 @@ class FittedModel:
     def intensity_values(self, x, y, t, mark=None) -> np.ndarray:
         """Vectorized fitted intensity at coordinate arrays (one level if marked)."""
         coefs, offset = self._coefs(mark)
-        return np.exp(_term_matrix(self.spec.terms, np.column_stack([x, y, t])) @ coefs + offset)
+        return np.exp(_term_matrix(self.spec.terms, x, y, t) @ coefs + offset)
 
     def marginal_values(self, x, y, t) -> np.ndarray:
         """Vectorized ground intensity of a marked model (sum over levels)."""
         if not self.is_marked:
             raise ValueError("marginal intensity is defined for marked models only")
-        terms = _term_matrix(self.spec.terms, np.column_stack([x, y, t]))
+        terms = _term_matrix(self.spec.terms, x, y, t)
         out = np.zeros(terms.shape[0])
         for label in self.levels:
             coefs, offset = self._coefs(label)

@@ -2,11 +2,12 @@
 
 Events live in a bounded axis-aligned box (the observation window). A
 pattern stores them as one validated, read-only ``(n, 3)`` float array
-``xyt`` (columns x, y, t, rows in pattern order); a marked pattern adds
-``marks``, integer positions into its ``levels``. ``SpaceTimePoint`` is the
-scalar type at the API edges: ``points`` builds those objects on demand,
-and no fitting code calls it. Patterns hold arrays, so they do not compare
-with ``==``. All types are immutable after construction.
+``xyt`` (columns x, y, t, rows in pattern order); a marked pattern is a
+``PointPattern`` that adds ``marks``, integer positions into its ``levels``
+(so ``isinstance(marked, PointPattern)`` holds, and ``fit_stpp`` refuses it by name).
+``SpaceTimePoint`` is the scalar type at the API edges: ``points`` builds
+those objects on demand, and no fitting code calls it. Patterns hold arrays,
+so they do not compare with ``==``. All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -121,25 +122,6 @@ class Window:
         )
 
 
-def _validated_xyt(window: Window, points, describe: str) -> np.ndarray:
-    """Copy ``points`` into a read-only (n, 3) array of finite coordinates inside ``window``."""
-    xyt = np.array(points, dtype=float)
-    if xyt.size and xyt.shape[-1] != 3:
-        raise ValueError(f"{describe} coordinates must form an (n, 3) array, got shape {xyt.shape}")
-    xyt = xyt.reshape(-1, 3)
-    lo, hi = np.array(window.ranges).T
-    bad = ~((xyt >= lo) & (xyt <= hi)).all(axis=1)  # nan fails both comparisons
-    if bad.any():
-        i = int(np.argmax(bad))
-        x, y, t = xyt[i].tolist()
-        problem = "lies outside" if np.isfinite(xyt[i]).all() else "is not finite, so not inside"
-        raise ValueError(
-            f"{describe} {i} at ({x}, {y}, {t}) {problem} the window "
-            f"x{window.x_range} y{window.y_range} t{window.t_range}"
-        )
-    return _readonly(xyt)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class PointPattern:
     """Finite ordered set of events inside a window (count not fixed).
@@ -150,10 +132,25 @@ class PointPattern:
 
     window: Window
     xyt: np.ndarray
+    _noun = "point"  # how a location error names a row
 
     def __init__(self, window: Window, points=()):
+        xyt = np.array(points, dtype=float)
+        if xyt.size and xyt.shape[-1] != 3:
+            raise ValueError(f"{self._noun} coordinates must form an (n, 3) array, got shape {xyt.shape}")
+        xyt = xyt.reshape(-1, 3)
+        lo, hi = np.array(window.ranges).T
+        bad = ~((xyt >= lo) & (xyt <= hi)).all(axis=1)  # nan fails both comparisons
+        if bad.any():
+            i = int(np.argmax(bad))
+            x, y, t = xyt[i].tolist()
+            problem = "lies outside" if np.isfinite(xyt[i]).all() else "is not finite, so not inside"
+            raise ValueError(
+                f"{self._noun} {i} at ({x}, {y}, {t}) {problem} the window "
+                f"x{window.x_range} y{window.y_range} t{window.t_range}"
+            )
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "xyt", _validated_xyt(window, points, "point"))
+        object.__setattr__(self, "xyt", _readonly(xyt))
 
     @classmethod
     def from_arrays(cls, window: Window, x, y, t) -> "PointPattern":
@@ -210,25 +207,22 @@ def _mark_codes(labels) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class MarkedPointPattern:
+class MarkedPointPattern(PointPattern):
     """Pattern whose events carry a categorical mark from a fixed level set.
 
-    ``marks[i]`` is the 0-based position of event i's label in ``levels``.
-    The per-level sub-patterns partition the ground (location-only)
-    pattern; every declared level is allowed to be empty.
+    The locations are a ``PointPattern``'s; ``marks[i]`` is the 0-based position
+    of event i's label in ``levels``. The per-level sub-patterns partition the
+    ground (location-only) pattern; every declared level is allowed to be empty.
     """
 
-    window: Window
-    xyt: np.ndarray
     marks: np.ndarray
     levels: tuple[str, ...]
+    _noun = "marked point"
 
     def __init__(self, window: Window, xyt=(), marks=(), levels=()):
-        xyt = _validated_xyt(window, xyt, "marked point")
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "xyt", xyt)
+        super().__init__(window, xyt)
         object.__setattr__(self, "levels", tuple(levels))
-        object.__setattr__(self, "marks", _validated_marks(marks, len(xyt), self.levels))
+        object.__setattr__(self, "marks", _validated_marks(marks, self.n, self.levels))
 
     @classmethod
     def from_labeled(cls, window: Window, labeled_points) -> "MarkedPointPattern":
@@ -238,14 +232,9 @@ class MarkedPointPattern:
         return cls(window, points, *_mark_codes(labels))
 
     @property
-    def n(self) -> int:
-        return len(self.xyt)
-
-    @property
     def points(self) -> tuple[tuple[SpaceTimePoint, str], ...]:
         """(``SpaceTimePoint``, label) pairs, built on each access."""
-        levels = [self.levels[c] for c in self.marks.tolist()]
-        return tuple(zip(map(SpaceTimePoint._make, self.xyt.tolist()), levels))
+        return tuple(zip(super().points, map(self.levels.__getitem__, self.marks.tolist())))
 
     def counts_by_level(self) -> dict[str, int]:
         return dict(zip(self.levels, np.bincount(self.marks, minlength=len(self.levels)).tolist()))

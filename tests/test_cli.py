@@ -222,6 +222,16 @@ class TestFitCommand:
         )
         assert not (workdir / "overflow.json").exists()
 
+    def test_covariate_file_without_samples_is_usage_error(self, workdir):
+        (workdir / "header_only.csv").write_text("x,y,t,value\n", encoding="utf-8")
+        r = run_cli(
+            "fit", "--pattern", "u100.csv", "--window", WINDOW, "--terms", "1,z",
+            "--covariate", "z=header_only.csv", "--grid", "6,6,6", "--out", "nocov.json", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert r.stderr == "error: --covariate z=header_only.csv: the file has a header but no sample rows\n"
+        assert not (workdir / "nocov.json").exists()
+
     def test_repeated_covariate_name_is_usage_error(self, workdir):
         # the second file does not exist: exit 2 rather than 3 shows no file was read
         r = run_cli(
@@ -241,6 +251,20 @@ class TestFitCommand:
         assert r.returncode == 2
         assert "coordinate" in r.stderr
         assert not (workdir / "xcov.json").exists()
+
+    def test_marked_fit_of_one_level_is_usage_error(self, workdir):
+        pts = [(SpaceTimePoint(0.1 * i, 0.5, 0.5), "A") for i in range(1, 6)]
+        write_pattern_csv(MarkedPointPattern.from_labeled(UNIT, pts), workdir / "one_level.csv")
+        r = run_cli(
+            "fit", "--pattern", "one_level.csv", "--window", WINDOW, "--marked", "--terms", "1",
+            "--grid", "6,6,6", "--out", "one_level.json", cwd=workdir,
+        )
+        assert r.returncode == 2
+        assert r.stderr == (
+            "error: --marked needs two or more mark levels, but one_level.csv has only the level 'A'; "
+            "drop its mark column to fit the ground pattern\n"
+        )
+        assert not (workdir / "one_level.json").exists()
 
     def test_marked_fit_prints_per_level_blocks(self, workdir):
         r = run_cli(

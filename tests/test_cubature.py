@@ -551,6 +551,18 @@ def marked_patterns(draw):
 class TestReplicatedSchemeProperties:
     @settings(max_examples=100, deadline=None)
     @given(marked_patterns(), st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
+    def test_marked_pattern_bins_as_its_ground_pattern(self, pattern, per_axis):
+        res = GridResolution(*per_axis)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CubatureWarning)
+            marked = build_scheme(pattern, res)
+            ground = build_scheme(ground_pattern(pattern), res)
+        assert marked.coords.tobytes() == ground.coords.tobytes()
+        assert marked.weights.tobytes() == ground.weights.tobytes()
+        assert marked.n_data == ground.n_data == pattern.n
+
+    @settings(max_examples=100, deadline=None)
+    @given(marked_patterns(), st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
     def test_replicated_scheme_is_ground_scheme_plus_marks(self, pattern, per_axis):
         res = GridResolution(*per_axis)
         with warnings.catch_warnings():

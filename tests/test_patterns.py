@@ -167,6 +167,13 @@ class TestMarkedPattern:
         with pytest.raises(ValueError, match="marked point 0"):
             MarkedPointPattern(unit_window(), (bad,), [0], levels)
 
+    def test_location_error_names_a_marked_point(self):
+        xyt = [[0.5, 0.5, 0.5], [0.5, 2.0, 0.5], [math.inf, 0.5, 0.5]]
+        with pytest.raises(ValueError, match=r"^marked point 1 at \(0.5, 2.0, 0.5\) lies outside the window"):
+            MarkedPointPattern(unit_window(), xyt, [0, 0, 0], ("A",))
+        with pytest.raises(ValueError, match=r"^marked point 0 at \(inf, 0.5, 0.5\) is not finite"):
+            MarkedPointPattern(unit_window(), xyt[2:], [0], ("A",))
+
     @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\r\n", "a\x0bb", "a\u2028b", " a", "a ", "\ta"])
     def test_label_a_csv_cell_cannot_carry_is_rejected(self, label):
         # a comma or any line break the reader splits on (str.splitlines) splits the cell, and
@@ -224,6 +231,12 @@ class TestArrayOwnership:
     def test_nonfinite_coordinate_names_point(self):
         with pytest.raises(ValueError, match=r"point 1 at \(0.5, nan, 0.5\).*finite"):
             PointPattern(unit_window(), [[0.5, 0.5, 0.5], [0.5, math.nan, 0.5]])
+
+    def test_marked_pattern_is_a_point_pattern_with_codes(self):
+        pat = two_level_pattern(3, 2)
+        assert isinstance(pat, PointPattern)
+        assert pat.coords() is pat.xyt
+        assert not pat.marks.flags.writeable
 
     def test_ground_pattern_shares_coordinates(self):
         pat = two_level_pattern(3, 2)
