@@ -268,12 +268,17 @@ class CoordinateMonomial:
         return "*".join(parts) if parts else "1"
 
     def evaluate(self, x, y, t) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
+        # a new array; the product starts at its first factor, as 1 * v is v bit for bit
+        out = None
         for arr, e in zip((x, y, t), (self.x_exp, self.y_exp, self.t_exp)):
-            if e:
-                out = out * np.asarray(arr, dtype=float) ** e
-        return out
+            if not e:
+                continue
+            arr = np.asarray(arr, dtype=float)
+            if out is None:
+                out = arr ** e if e > 1 else arr.copy()
+            else:
+                out = out * (arr ** e if e > 1 else arr)
+        return np.ones_like(np.asarray(x, dtype=float)) if out is None else out
 
 
 class Intercept(CoordinateMonomial):

@@ -114,11 +114,20 @@ def cell_axes(window: Window, res: GridResolution) -> tuple[np.ndarray, np.ndarr
     return tuple(axes)
 
 
+def _write_centers(out: np.ndarray, res: GridResolution, axes) -> None:
+    """Write the tensor product of the cell ``axes`` into the (n_cells, 3) array ``out``, in cell-id order."""
+    ax, ay, at = axes
+    grid = out.reshape(res.nt, res.ny, res.nx, 3)  # a view: ``out`` is C-contiguous
+    grid[..., 0] = ax
+    grid[..., 1] = ay[:, None]
+    grid[..., 2] = at[:, None, None]
+
+
 def cell_centers(window: Window, res: GridResolution) -> np.ndarray:
     """Centers of all partition cells as an (n_cells, 3) array in cell-id order."""
-    ax, ay, at = cell_axes(window, res)
-    tt, yy, xx = np.meshgrid(at, ay, ax, indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel(), tt.ravel()])
+    out = np.empty((res.n_cells, 3))
+    _write_centers(out, res, cell_axes(window, res))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,16 +199,20 @@ def build_scheme(pattern: PointPattern, res: GridResolution = DEFAULT_RESOLUTION
             stacklevel=2,
         )
     window = pattern.window
+    axes = cell_axes(window, res)
     # dummy k, the centre of cell k, bins into cell k exactly when each axis's centres bin into their own cells
-    for (lo, hi), k, centres, name in zip(window.ranges, res.per_axis, cell_axes(window, res), "xyt"):
+    for (lo, hi), k, centres, name in zip(window.ranges, res.per_axis, axes, "xyt"):
         if not np.array_equal(_axis_indices(centres, lo, hi, k, name), np.arange(k)):
             raise ValueError(f"grid too fine for its window: at {k} cells along {name}, a cell is {(hi - lo) / k!r} "
                              f"wide, too narrow for the range ({lo}, {hi}) to give each its own centre")
-    dummies = cell_centers(window, res)
-    coords = np.vstack([pattern.coords(), dummies]) if n else dummies
+    coords = np.empty((n + m, 3))
+    coords[:n] = pattern.coords()
+    _write_centers(coords[n:], res, axes)
     ids = cell_indices(window, res, *coords[:n].T)
     counts = np.bincount(ids, minlength=m) + 1  # + 1: the cell's own dummy
-    weights = res.cell_volume(window) / np.r_[counts[ids], counts]
+    weights = np.empty(n + m)
+    weights[:n], weights[n:] = counts[ids], counts
+    np.divide(res.cell_volume(window), weights, out=weights)
     return CubatureScheme(window, res, coords, weights, n)
 
 

@@ -15,19 +15,23 @@ design only through its products ``dot``, ``tdot`` and ``gram``. The one
 design type, ``DesignMatrix``, is I_M kron B: it stores the K x p matrix B
 and never forms the (M*K) x (M*p) matrix of the fully mark-interacted
 multitype design; an unmarked or dense design is the case M = 1. The
-rank check runs once, on B. For M > 1, entry (i, j) of level m's Fisher
-block is v_m . (B_i * B_j), so the design caches the K x p(p+1)/2 table of
-row-wise pair products B_i * B_j (i <= j) on first use and ``gram`` forms
-all M blocks in one product v.reshape(M, K) @ P. An M = 1 design never
-builds the table: there B' diag(v) B is already one product, and P,
-(p+1)/2 times the size of B, costs more memory than it saves time.
+rank check runs on B, in row blocks: numpy reduces each block of at most
+``_RANK_BLOCK_ROWS`` rows to its R, then the stacked Rs to B's p x p R,
+so no QR copies more than one block of B. For M > 1, entry (i, j) of
+level m's Fisher block is v_m . (B_i * B_j), so the design caches the
+K x p(p+1)/2 table of row-wise pair products B_i * B_j (i <= j) on first
+use and ``gram`` forms all M blocks in one product v.reshape(M, K) @ P.
+An M = 1 design never builds the table: there B' diag(v) B is already one
+product, and P, (p+1)/2 times the size of B, costs more memory than it
+saves time.
 
 ``scipy.linalg`` is imported inside the two functions that call LAPACK,
 so importing the package, simulating and predicting never load it. It
 sees only matrices of at most n_cols x n_cols and one 1-D right-hand side
-per solve; numpy's products and its QR do the rest. numpy and scipy each
-bundle their own OpenBLAS with its own thread pool, and these sizes keep
-scipy's pool from starting, so its threads do not spin beside numpy's.
+per solve; numpy's products and its row-block QRs do the rest. numpy
+and scipy each bundle their own OpenBLAS with its own thread pool, and
+these sizes keep scipy's pool from starting, so its threads do not spin
+beside numpy's.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ __all__ = [
 MAX_LINEAR_PREDICTOR = 700.0
 GRADIENT_RTOL = 1e-8
 _PIVOT_RTOL = 1e-10
+_RANK_BLOCK_ROWS = 8192  # rows of B per numpy QR in the rank check
 
 
 class FitError(RuntimeError):
@@ -252,12 +257,22 @@ def _loglik(y: np.ndarray, w: np.ndarray, eta: np.ndarray, lam: np.ndarray) -> f
     return float(np.dot(w * y, eta) - np.dot(w, lam) + w.sum())
 
 
+def _positive_rows(y: np.ndarray) -> slice | np.ndarray:
+    """The rows with y > 0: a slice when they are contiguous, as the data rows of a
+    cubature scheme are, so that indexing by them gives views; else their indices."""
+    pos = np.flatnonzero(y > 0)
+    if pos.size and pos[-1] - pos[0] + 1 == pos.size:
+        return slice(int(pos[0]), int(pos[-1]) + 1)
+    return pos
+
+
 def _score_fisher(X: DesignMatrix, y, w, theta, lam, pen, pos) -> tuple[np.ndarray, np.ndarray]:
     # pos: the rows with y > 0; elsewhere w * (y - lam) is -(w * lam), bit for bit
     wlam = w * lam
     resid = -wlam
     resid[pos] = w[pos] * (y[pos] - lam[pos])
     grad = X.tdot(resid) - pen * theta
+    del resid  # gram's weighted copy of the design comes next
     fisher = X.gram(wlam) + np.diag(pen)
     return grad, fisher
 
@@ -281,7 +296,7 @@ def score_and_fisher(X: DesignMatrix, y, w, theta, penalty=None) -> tuple[np.nda
     """
     y, w, theta, pen = _validated(X, y, w, theta, penalty)
     lam = np.exp(_linear_predictor(X, theta))
-    return _score_fisher(X, y, w, theta, lam, pen, np.flatnonzero(y > 0))
+    return _score_fisher(X, y, w, theta, lam, pen, _positive_rows(y))
 
 
 def _check_rank(X: DesignMatrix) -> None:
@@ -292,8 +307,11 @@ def _check_rank(X: DesignMatrix) -> None:
     k, p = X.values.shape
     if k < p:
         raise RankDeficiencyError(f"design has more columns ({p}) than rows ({k})")
-    # pivoted QR of B's R (R'R = B'B) has B's pivots and |diag R|; numpy reduces B to R
-    _, r, piv = scipy.linalg.qr(np.linalg.qr(X.values, mode="r"), mode="raw", pivoting=True)
+    # B = [B_1; B_2; ...] and the stack [R_1; R_2; ...] of its blocks' Rs have the
+    # same Gram matrix, so the stack's R is B's R (R'R = B'B), and pivoted QR of
+    # that R has B's pivots and |diag R|
+    rs = [np.linalg.qr(X.values[i : i + _RANK_BLOCK_ROWS], mode="r") for i in range(0, k, _RANK_BLOCK_ROWS)]
+    _, r, piv = scipy.linalg.qr(np.linalg.qr(np.vstack(rs), mode="r"), mode="raw", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0:
         raise RankDeficiencyError(f"column {X.column_names[piv[0]]!r} is identically zero")
@@ -339,7 +357,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
         theta[ones] = math.log(swy / sw)
 
     # only rows with y > 0 carry the y log(y / lambda) term; find them once per fit
-    pos = np.flatnonzero(y > 0)
+    pos = _positive_rows(y)
     w_pos, y_pos = w[pos], y[pos]
 
     def deviances(lam_vec, th):  # plain and penalized
@@ -350,8 +368,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
         dev = float(2.0 * d.sum())
         return dev, dev + float(np.dot(pen * th, th))
 
-    eta = _linear_predictor(X, theta)
-    lam = np.exp(eta)
+    lam = np.exp(_linear_predictor(X, theta))
     dev, pdev = deviances(lam, theta)
     if not math.isfinite(pdev):
         raise FitError(f"initial deviance is not finite ({pdev!r})")
@@ -382,11 +399,11 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
         step, at_guard = 1.0, False
         for _ in range(40):
             cand = theta + step * delta
-            cand_eta = X.dot(cand)
-            if _overflows(cand_eta):
+            cand_lam = X.dot(cand)  # eta, which exp turns into lambda in place
+            if _overflows(cand_lam):
                 at_guard = True
             else:
-                cand_lam = np.exp(cand_eta)
+                np.exp(cand_lam, out=cand_lam)
                 cand_dev, cand_pdev = deviances(cand_lam, cand)
                 if math.isfinite(cand_pdev) and cand_pdev <= pdev + 1e-12 * max(1.0, abs(pdev)):
                     break
@@ -397,7 +414,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
             break
 
         rel_change = abs(pdev - cand_pdev) / max(abs(cand_pdev), 1e-300)
-        theta, eta, lam, pdev = cand, cand_eta, cand_lam, cand_pdev
+        theta, lam, pdev = cand, cand_lam, cand_pdev
         trace.append(cand_dev)
         grad, fisher = _score_fisher(X, y, w, theta, lam, pen, pos)
         if rel_change <= cfg.tolerance and float(np.abs(grad).max()) <= grad_tol:
@@ -419,5 +436,5 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
     cov = 0.5 * (cov + cov.T)
 
     return FitResult(coefficients=theta, covariance=cov, deviance_trace=trace,
-                     log_likelihood_approx=_loglik(y, w, eta, lam), iterations=iterations,
+                     log_likelihood_approx=_loglik(y, w, X.dot(theta), lam), iterations=iterations,
                      converged=float(np.abs(grad).max()) <= grad_tol)

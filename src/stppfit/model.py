@@ -93,7 +93,11 @@ class ModelSpec:
 
 
 def _term_matrix(terms, x, y, t) -> np.ndarray:
-    return np.column_stack([term.evaluate(x, y, t) for term in terms])
+    """One column per term, each written into the one (rows, terms) array."""
+    out = np.empty((np.size(x), len(terms)))
+    for j, term in enumerate(terms):
+        out[:, j] = term.evaluate(x, y, t)
+    return out
 
 
 def build_design(scheme: CubatureScheme, spec: ModelSpec) -> DesignMatrix:
@@ -254,7 +258,9 @@ def _fit(scheme: CubatureScheme, spec: ModelSpec, irls: IrlsConfig | None,
     y = replicated_responses(scheme).ravel() if levels else responses(scheme)
     # every level shares the one weight vector; at m = 1 the ravel is a view, not a copy
     w = np.broadcast_to(scheme.weights, (m, scheme.size)).ravel()
-    return FittedModel(spec=spec, window=scheme.window, resolution=scheme.resolution, n_data=scheme.n_data,
+    window, resolution, n_data = scheme.window, scheme.resolution, scheme.n_data
+    del scheme, base  # the IRLS needs neither the K x 3 coordinates nor, beside the design, the base
+    return FittedModel(spec=spec, window=window, resolution=resolution, n_data=n_data,
                        fit=fit_irls(design, y, w, irls, penalty), levels=levels)
 
 
@@ -304,5 +310,4 @@ def fit_multitype(
             f"mark level(s) {empty} have no points; their intensity estimate "
             "does not exist, drop them or merge levels"
         )
-    scheme = build_replicated_scheme(pattern, res)
-    return _fit(scheme, spec, irls, scheme.levels)
+    return _fit(build_replicated_scheme(pattern, res), spec, irls, pattern.levels)

@@ -138,11 +138,14 @@ class PointPattern:
         xyt = np.array(points, dtype=float)
         if xyt.size and xyt.shape[-1] != 3:
             raise ValueError(f"{self._noun} coordinates must form an (n, 3) array, got shape {xyt.shape}")
-        xyt = xyt.reshape(-1, 3)
+        self._set_locations(window, xyt.reshape(-1, 3))
+
+    def _set_locations(self, window: Window, xyt: np.ndarray) -> None:
+        """Check that every row of the (n, 3) array ``xyt``, which the pattern then owns, lies in ``window``."""
         lo, hi = np.array(window.ranges).T
-        bad = ~((xyt >= lo) & (xyt <= hi)).all(axis=1)  # nan fails both comparisons
-        if bad.any():
-            i = int(np.argmax(bad))
+        # per-column extrema rule most patterns in; nan fails every comparison, so it reaches the row check
+        if xyt.size and not ((xyt.min(axis=0) >= lo).all() and (xyt.max(axis=0) <= hi).all()):
+            i = int(np.argmax(~((xyt >= lo) & (xyt <= hi)).all(axis=1)))
             x, y, t = xyt[i].tolist()
             problem = "lies outside" if np.isfinite(xyt[i]).all() else "is not finite, so not inside"
             raise ValueError(
@@ -154,10 +157,13 @@ class PointPattern:
 
     @classmethod
     def from_arrays(cls, window: Window, x, y, t) -> "PointPattern":
-        x, y, t = (np.asarray(a, dtype=float).ravel() for a in (x, y, t))
+        """Build from coordinate arrays of equal size, copied once into the pattern's (n, 3) array."""
+        x, y, t = (np.asarray(a, dtype=float).reshape(-1) for a in (x, y, t))  # views where possible
         if not (x.size == y.size == t.size):
             raise ValueError("x, y, t must have equal lengths")
-        return cls(window, np.column_stack([x, y, t]))
+        pattern = cls.__new__(cls)
+        pattern._set_locations(window, np.column_stack([x, y, t]))
+        return pattern
 
     @property
     def n(self) -> int:
@@ -221,8 +227,18 @@ class MarkedPointPattern(PointPattern):
 
     def __init__(self, window: Window, xyt=(), marks=(), levels=()):
         super().__init__(window, xyt)
+        self._set_marks(marks, levels)
+
+    def _set_marks(self, marks, levels) -> None:
         object.__setattr__(self, "levels", tuple(levels))
         object.__setattr__(self, "marks", _validated_marks(marks, self.n, self.levels))
+
+    @classmethod
+    def from_arrays(cls, window: Window, x, y, t, marks, levels) -> "MarkedPointPattern":
+        """Build from coordinate arrays and, per point, its integer mark code into ``levels``."""
+        pattern = super().from_arrays(window, x, y, t)
+        pattern._set_marks(marks, levels)
+        return pattern
 
     @classmethod
     def from_labeled(cls, window: Window, labeled_points) -> "MarkedPointPattern":

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -452,6 +453,45 @@ class TestSchemeProperties:
                 p[axis] = lo + j * (hi - lo) / n
                 cells[axis] = min(j, n - 1)
                 assert_bins_into(window, res, p, cells)
+
+
+SUBSTEPS = 8  # lattice points per cell width along each axis
+
+
+@st.composite
+def lattice_patterns(draw):
+    """An exact grid and up to 40 points ``lo + j * width / SUBSTEPS``: each coordinate an exact
+    double, on an interior cell face or the upper face when ``j`` is a multiple of SUBSTEPS."""
+    window, res = draw(exact_grids())
+    per_axis = [st.integers(0, SUBSTEPS * n) | st.integers(1, n).map(lambda i: SUBSTEPS * i) for n in res.per_axis]
+    return window, res, draw(st.lists(st.tuples(*per_axis), max_size=40))
+
+
+class TestBuildSchemeProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_patterns())
+    def test_volume_centres_shared_weights_and_boundaries_up(self, drawn):
+        window, res, lattice = drawn
+        widths = [(hi - lo) / n for (lo, hi), n in zip(window.ranges, res.per_axis)]
+        xyt = [[lo + j * w / SUBSTEPS for (lo, _), j, w in zip(window.ranges, js, widths)] for js in lattice]
+        scheme = quiet_scheme(window, res, xyt)
+        n, nu, vol = len(xyt), res.cell_volume(window), window.volume()
+        assert abs(float(scheme.weights.sum()) - vol) <= 1e-10 * vol
+        # dummy k sits at the centre of cell k (x fastest, then y, then t)
+        nx, ny, _ = res.per_axis
+        for k in range(res.n_cells):
+            cell = (k % nx, k // nx % ny, k // (nx * ny))
+            want = [lo + (i + 0.5) * w for (lo, _), i, w in zip(window.ranges, cell, widths)]
+            assert scheme.coords[n + k].tolist() == want
+        # a point on an interior face belongs to the higher cell; the upper face to the last
+        cells = [
+            sum(min(j // SUBSTEPS, m - 1) * stride for j, m, stride in zip(js, res.per_axis, (1, nx, nx * ny)))
+            for js in lattice
+        ]
+        shared = Counter(cells)
+        for i, cell in enumerate(cells):
+            # the point and the dummy of its cell split nu over the data points there plus that dummy
+            assert scheme.weights[i] == scheme.weights[n + cell] == nu / (shared[cell] + 1)
 
 
 @st.composite

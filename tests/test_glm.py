@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from stppfit import (
     score_and_fisher,
     weighted_poisson_loglik,
 )
+import stppfit.glm
 from stppfit.glm import MAX_LINEAR_PREDICTOR, _check_rank, _overflows
 
 UNIT = Window.unit_cube()
@@ -440,6 +442,33 @@ class TestScipySizedCalls:
         assert got == want
         if plant and p >= 3:
             assert got is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 8),
+        extra_rows=st.integers(0, 60),
+        plant=st.booleans(),
+        block=st.integers(1, 9),
+    )
+    def test_rank_check_in_row_blocks_matches_pivoted_qr_of_the_base(self, seed, p, extra_rows, plant, block):
+        # the property above, with B cut into blocks of 1-9 rows, fewer than p rows included
+        with unittest.mock.patch.object(stppfit.glm, "_RANK_BLOCK_ROWS", block):
+            self.test_rank_check_on_r_matches_pivoted_qr_of_the_base.hypothesis.inner_test(
+                self, seed, p, extra_rows, plant
+            )
+
+    @pytest.mark.parametrize("block", range(1, 10))
+    def test_rank_check_reads_the_last_row_block(self, block):
+        # column "b" is zero but in the last row, so only the last block, often a
+        # partial one, shows that B has full rank
+        values = np.zeros((10, 2))
+        values[:, 0], values[-1, 1] = 1.0, 1.0
+        with unittest.mock.patch.object(stppfit.glm, "_RANK_BLOCK_ROWS", block):
+            _check_rank(DesignMatrix(values, ("a", "b")))
+            values[-1, 1] = 0.0
+            with pytest.raises(RankDeficiencyError, match="column 'b'"):
+                _check_rank(DesignMatrix(values, ("a", "b")))
 
 
 class TestValidation:

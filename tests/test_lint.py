@@ -3,6 +3,12 @@
 Only ``stppfit.io`` writes files. It opens each one with ``newline="\\n"``,
 so every output is UTF-8 with ``\\n`` line endings on every platform; a
 ``Path.write_text`` elsewhere would write ``os.linesep``.
+
+Only ``stppfit.glm`` calls LAPACK through ``np.linalg`` or ``scipy.linalg``.
+There the rank check reduces the design in row blocks, and scipy sees only
+n_cols x n_cols matrices, so its OpenBLAS thread pool stays idle; a call
+elsewhere could hand either library the whole design. A bare
+``import scipy.linalg``, which sets the warning filters early, is no call.
 """
 
 import ast
@@ -13,6 +19,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stppfit"
 WRITE_CALLS = {"write_text", "write_bytes"}
 MODE_LETTERS = set("rwxabt+")
+LINALG_MODULES = {"numpy.linalg", "scipy.linalg"}
 
 
 def _open_mode(call: ast.Call) -> str:
@@ -76,3 +83,64 @@ def test_only_io_writes_files():
         if path.name != "io.py" and (found := file_writes(path.read_text(encoding="utf-8")))
     }
     assert writes == {}
+
+
+def _dotted(node: ast.expr) -> list[str]:
+    """``["np", "linalg", "qr"]`` for ``np.linalg.qr``; empty unless the chain starts at a name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else []
+
+
+def linalg_calls(source: str) -> list[str]:
+    """``<line>: <call>`` for each call in ``source`` of an ``np.linalg`` or ``scipy.linalg``
+    function: through a ``linalg`` attribute (``np.linalg.qr``), a module alias
+    (``import scipy.linalg as sla``) or a name imported from such a module."""
+    tree = ast.parse(source)
+    bound = set()  # local names of linalg modules and of functions imported from them
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            bound |= {a.asname or a.name for a in node.names
+                      if node.module in LINALG_MODULES or f"{node.module}.{a.name}" in LINALG_MODULES}
+        elif isinstance(node, ast.Import):
+            bound |= {a.asname for a in node.names if a.name in LINALG_MODULES and a.asname}
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (parts := _dotted(node.func))
+        and ("linalg" in parts[:-1] or parts[0] in bound)
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, calls",
+    [
+        ("np.linalg.qr(b, mode='r')", True),
+        ("numpy.linalg.eigvalsh(a)", True),
+        ("scipy.linalg.cho_solve(f, g)", True),
+        ("from scipy.linalg import qr\nqr(a)", True),
+        ("from numpy.linalg import norm as n2\nn2(v)", True),
+        ("from numpy import linalg\nlinalg.solve(a, b)", True),
+        ("import scipy.linalg as sla\nsla.lu(a)", True),
+        ("import scipy.linalg  # noqa: F401", False),
+        ("np.dot(a, b) + a @ b", False),
+        ("try:\n    f()\nexcept np.linalg.LinAlgError:\n    pass", False),
+        ("from scipy.linalg import qr", False),
+    ],
+)
+def test_the_check_finds_linalg_calls(source, calls):
+    assert bool(linalg_calls(source)) == calls
+
+
+def test_only_glm_calls_linalg():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "glm.py" in modules
+    calls = {
+        path.name: found
+        for path in modules
+        if path.name != "glm.py" and (found := linalg_calls(path.read_text(encoding="utf-8")))
+    }
+    assert calls == {}

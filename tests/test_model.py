@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from stppfit import (
     fit_multitype,
     fit_stpp,
     ground_pattern,
+    parse_log_linear,
+    parse_term_list,
     replicated_responses,
     simulate_homogeneous,
     simulate_inhomogeneous,
@@ -195,6 +198,25 @@ class TestFitStpp:
         model = fit_stpp(pat, ModelSpec((Intercept(),)), RES8)
         assert model.aic == pytest.approx(2 * 1 - 2 * model.fit.log_likelihood_approx)
 
+    def test_fit_peak_memory_stays_within_a_few_designs(self):
+        # the K x 4 design B, gram's weighted copy of it and four vectors of K
+        # entries make 3 designs; extra copies (a whole-B QR, a stacked design,
+        # an eta or the coordinates kept through the IRLS) took it to 4.3
+        expr = parse_log_linear("7.5 + 1*x - 0.8*t + 1*x*y")
+        pattern = simulate_inhomogeneous(UNIT, expr.intensity, SimConfig(seed=5, lambda_max=math.exp(9.6)))
+        assert pattern.n == 2964
+        spec = ModelSpec(parse_term_list("1,x,t,x*y"))
+        res = GridResolution(48, 48, 48)
+        fit_stpp(uniform_pattern(20, seed=7), spec, RES8)  # load what a first fit loads
+        tracemalloc.start()
+        try:
+            fit_stpp(pattern, spec, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design_bytes = (pattern.n + res.n_cells) * len(spec.terms) * 8
+        assert peak <= 3.5 * design_bytes
+
 
 class TestInterceptScoreIdentity:
     def test_fitted_intensity_integrates_to_count_on_scheme(self):
@@ -360,16 +382,25 @@ class TestFitMultitype:
             )
 
     def test_interact_all_rank_check_runs_once_on_the_base(self, monkeypatch):
-        # numpy reduces the K x p base B (not the M*K-row expansion) to its
-        # p x p R once, and scipy's pivoted QR runs once, on that R
+        # numpy reduces the K x p base B (not the M*K-row expansion) to one R per
+        # row block, then the stacked Rs to B's p x p R; scipy's pivoted QR runs
+        # once, on that R
         import scipy.linalg
 
+        import stppfit.glm
+
+        block = 100
+        monkeypatch.setattr(stppfit.glm, "_RANK_BLOCK_ROWS", block)
         calls = spy_on(monkeypatch, (np.linalg, "qr"), (scipy.linalg, "qr"))
         pat = marked_pattern(40, 60, seed=20)
         terms = (Intercept(), CoordinateMonomial(1, 0, 0), CoordinateMonomial(0, 0, 1))
         fit_multitype(pat, ModelSpec(terms, multitype_mode=MarkFixedEffects(True)), RES8)
         k = build_replicated_scheme(pat, RES8).size
-        assert [s for name, s in calls if name == "numpy.linalg.qr"] == [[(k, 3)]]
+        numpy_shapes = [shape for name, shapes in calls if name == "numpy.linalg.qr" for shape in shapes]
+        n_blocks = -(-k // block)
+        assert numpy_shapes == [(min(block, k - i), 3) for i in range(0, k, block)] + [(3 * n_blocks, 3)]
+        assert max(rows for rows, _ in numpy_shapes) <= block < k  # no call sees more than one block of B
+        assert all(rows < 2 * k for rows, _ in numpy_shapes)  # none sees the M*K expansion
         assert [s for name, s in calls if name == "scipy.linalg.qr"] == [[(3, 3)]]
 
     def test_scipy_sees_only_design_column_sized_arrays(self, monkeypatch):

@@ -129,6 +129,16 @@ class TestMarkedPattern:
         (sub,) = split_by_mark(pat).values()
         assert list(sub.points) == [p for p, _ in pat.points]
 
+    def test_from_arrays_needs_marks_and_levels(self):
+        with pytest.raises(TypeError, match="'marks' and 'levels'"):
+            MarkedPointPattern.from_arrays(unit_window(), [0.5], [0.5], [0.5])
+        with pytest.raises(ValueError, match=re.escape("need 1 integer mark codes, got float64 of shape (0,)")):
+            MarkedPointPattern.from_arrays(unit_window(), [0.5], [0.5], [0.5], [], ("A",))
+        with pytest.raises(ValueError, match="needs at least one mark level"):
+            MarkedPointPattern.from_arrays(unit_window(), [0.5], [0.5], [0.5], [0], ())
+        with pytest.raises(ValueError, match="marked point 0 at"):
+            MarkedPointPattern.from_arrays(unit_window(), [1.5], [0.5], [0.5], [0], ("A",))
+
     def test_empty_pattern_with_declared_levels(self):
         pat = MarkedPointPattern(unit_window(), levels=("A", "B"))
         subs = split_by_mark(pat)
@@ -228,6 +238,13 @@ class TestArrayOwnership:
         assert xyt.flags.writeable
         assert not pat.coords().flags.writeable
 
+    def test_from_arrays_copies_its_input(self):
+        xyt = np.full((3, 3), 0.5)
+        pat = PointPattern.from_arrays(unit_window(), *xyt.T)
+        xyt[0] = 7.0
+        np.testing.assert_array_equal(pat.coords(), np.full((3, 3), 0.5))
+        assert not pat.coords().flags.writeable
+
     def test_nonfinite_coordinate_names_point(self):
         with pytest.raises(ValueError, match=r"point 1 at \(0.5, nan, 0.5\).*finite"):
             PointPattern(unit_window(), [[0.5, 0.5, 0.5], [0.5, math.nan, 0.5]])
@@ -290,6 +307,28 @@ class TestPatternProperties:
         assert pat.levels == tuple(sorted(set(labels)))
         assert pat.counts_by_level() == Counter(labels)
         assert [m for _, m in pat.points] == labels
+
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_rows)
+    def test_marked_from_arrays_matches_from_labeled(self, pairs):
+        want = labeled_pattern(pairs)
+        x, y, t = np.array([xyz for xyz, _ in pairs]).T  # strided column views
+        got = MarkedPointPattern.from_arrays(unit_window(), x, y, t, want.marks, want.levels)
+        assert type(got) is MarkedPointPattern
+        assert got.xyt.tobytes() == want.xyt.tobytes()
+        assert (got.marks.tolist(), got.levels) == (want.marks.tolist(), want.levels)
+        assert got.points == want.points
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*3 * [st.sampled_from([-0.5, -0.0, 1.0, 1.5, math.nan, math.inf]) | st.floats(-1.0, 2.0)]),
+                    max_size=20))
+    def test_location_check_names_the_first_row_outside(self, xyt):
+        inside = [all(0.0 <= v <= 1.0 for v in row) for row in xyt]  # nan compares false
+        if all(inside):
+            assert PointPattern(unit_window(), xyt).n == len(xyt)
+        else:
+            with pytest.raises(ValueError, match=f"^point {inside.index(False)} at "):
+                PointPattern(unit_window(), xyt)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(["b", "a", "%s", "50%", "é", "Ω", "B"]) | st.text(min_size=1, max_size=3),
