@@ -25,18 +25,30 @@ An M = 1 design never builds the table: there B' diag(v) B is already one
 product, and P, (p+1)/2 times the size of B, costs more memory than it
 saves time.
 
-``scipy.linalg`` is imported inside the two functions that call LAPACK,
-so importing the package, simulating and predicting never load it. It
-sees only matrices of at most n_cols x n_cols and one 1-D right-hand side
-per solve; numpy's products and its row-block QRs do the rest. numpy
-and scipy each bundle their own OpenBLAS with its own thread pool, and
-these sizes keep scipy's pool from starting, so its threads do not spin
-beside numpy's.
+The fit's own LAPACK calls are three routines of scipy's compiled
+``_flapack`` extension: ``dpotrf`` and ``dpotrs`` for the Cholesky
+factor and solves of the Fisher matrix, ``dgeqp3`` for the pivoted QR of
+the rank check. ``_flapack()`` loads that one file on the first fit and
+registers it as ``scipy.linalg._flapack``; the ``scipy.linalg`` package,
+whose import costs about eight times the memory of the extension, is
+never imported. Importing the package, simulating and predicting load no
+scipy at all.
+``_cho_factor``, ``_cho_solve`` and ``_pivoted_qr`` give these routines
+the arguments that ``scipy.linalg.cho_factor``, ``cho_solve`` and
+``qr(mode="raw", pivoting=True)`` give them, so their results are the
+same bits. They see only matrices of at most n_cols x n_cols and one
+1-D right-hand side per solve; numpy's products and its row-block QRs
+do the rest. numpy and scipy each bundle their own OpenBLAS with its own
+thread pool, and ``_flapack`` links scipy's: these sizes keep that pool
+from starting, so its threads do not spin beside numpy's.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -299,9 +311,66 @@ def score_and_fisher(X: DesignMatrix, y, w, theta, penalty=None) -> tuple[np.nda
     return _score_fisher(X, y, w, theta, lam, pen, _positive_rows(y))
 
 
-def _check_rank(X: DesignMatrix) -> None:
-    import scipy.linalg
+def _flapack():
+    """scipy's compiled LAPACK wrappers, loaded from their file without ``scipy.linalg``.
 
+    ``import scipy`` comes first: it is light, and on Windows it sets up the
+    search path of the DLLs its wheels bundle. The module is registered under
+    its own name, so it loads once per process, and a ``scipy.linalg``
+    imported before or after shares the one module object.
+    """
+    import sysconfig  # not loaded at start-up; scipy loads it too
+
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK extension is not at {path}", name=name, path=path)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_factor(a)[0]``: the upper Cholesky factor of ``a``, whose
+    strict lower triangle keeps ``a``'s entries."""
+    c, info = _flapack().dpotrf(np.asarray_chkfinite(a), lower=0, clean=0, overwrite_a=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((c, False), b)``: solve A x = b given A's ``_cho_factor``."""
+    x, info = _flapack().dpotrs(np.asarray_chkfinite(c), np.asarray_chkfinite(b), lower=0, overwrite_b=0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R and the 0-based column pivots of ``scipy.linalg.qr(a, mode="raw", pivoting=True)``."""
+    a = np.asarray_chkfinite(a)
+    geqp3 = _flapack().dgeqp3
+    work = geqp3(a, lwork=-1, overwrite_a=0)[-2]  # the workspace query
+    qr, jpvt, _, _, info = geqp3(a, lwork=int(work[0]), overwrite_a=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgeqp3")
+    return np.triu(qr[: a.shape[1], :]), jpvt - 1
+
+
+def _check_rank(X: DesignMatrix) -> None:
     # X'X is block-diagonal with M copies of B'B, so pivoted QR of X has B's
     # R diagonal M times over: X has full column rank iff B has
     k, p = X.values.shape
@@ -311,7 +380,7 @@ def _check_rank(X: DesignMatrix) -> None:
     # same Gram matrix, so the stack's R is B's R (R'R = B'B), and pivoted QR of
     # that R has B's pivots and |diag R|
     rs = [np.linalg.qr(X.values[i : i + _RANK_BLOCK_ROWS], mode="r") for i in range(0, k, _RANK_BLOCK_ROWS)]
-    _, r, piv = scipy.linalg.qr(np.linalg.qr(np.vstack(rs), mode="r"), mode="raw", pivoting=True)
+    r, piv = _pivoted_qr(np.linalg.qr(np.vstack(rs), mode="r"))
     diag = np.abs(np.diag(r))
     if diag[0] == 0.0:
         raise RankDeficiencyError(f"column {X.column_names[piv[0]]!r} is identically zero")
@@ -339,8 +408,6 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
     the fitted rates w*lambda span more than 1/eps; reaching the iteration
     cap returns a result with ``converged=False``.
     """
-    import scipy.linalg
-
     cfg = cfg if cfg is not None else IrlsConfig()
     y, w, _, pen = _validated(X, y, w, penalty=penalty)
     _check_rank(X)
@@ -381,8 +448,8 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
     iterations, at_guard = 0, False
     for iterations in range(1, cfg.max_iterations + 1):
         try:
-            delta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(fisher), grad)
-        except np.linalg.LinAlgError as exc:  # the class scipy.linalg raises
+            delta = _cho_solve(_cho_factor(fisher), grad)
+        except np.linalg.LinAlgError as exc:
             rates = w * lam
             lo, hi = float(rates.min()), float(rates.max())
             if lo / hi < np.finfo(float).eps:
@@ -428,11 +495,11 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
         )
 
     try:
-        factor = scipy.linalg.cho_factor(fisher)
+        factor = _cho_factor(fisher)
     except np.linalg.LinAlgError as exc:
         raise FitError("Fisher information at the optimum is singular") from exc
     # one unit vector per solve gives the bits of the multi-column solve
-    cov = np.column_stack([scipy.linalg.cho_solve(factor, e) for e in np.eye(X.n_cols)])
+    cov = np.column_stack([_cho_solve(factor, e) for e in np.eye(X.n_cols)])
     cov = 0.5 * (cov + cov.T)
 
     return FitResult(coefficients=theta, covariance=cov, deviance_trace=trace,

@@ -93,10 +93,14 @@ class ModelSpec:
 
 
 def _term_matrix(terms, x, y, t) -> np.ndarray:
-    """One column per term, each written into the one (rows, terms) array."""
+    """One column per term, each written into the one (rows, terms) array.
+
+    External covariate columns are read first, so that a grid's lazy IDW
+    fill does not run beside that array."""
+    external = {j: term.evaluate(x, y, t) for j, term in enumerate(terms) if isinstance(term, ExternalCovariate)}
     out = np.empty((np.size(x), len(terms)))
     for j, term in enumerate(terms):
-        out[:, j] = term.evaluate(x, y, t)
+        out[:, j] = external.pop(j) if j in external else term.evaluate(x, y, t)
     return out
 
 
@@ -271,11 +275,6 @@ def fit_stpp(
     irls: IrlsConfig | None = None,
 ) -> FittedModel:
     """Fit an unmarked log-linear intensity model by cubature plus IRLS."""
-    # The IRLS needs scipy.linalg. Load it before build_scheme can warn: its
-    # import adds warning filters, and changing the filters resets the record
-    # that shows a warning once per location.
-    import scipy.linalg  # noqa: F401
-
     if spec.multitype_mode is not None:
         raise ValueError("spec declares a multitype mode: use fit_multitype")
     if isinstance(pattern, MarkedPointPattern):
@@ -296,8 +295,6 @@ def fit_multitype(
     All levels are fitted in one weighted Poisson regression whose rows
     are the shared locations replicated per level (level-major order).
     """
-    import scipy.linalg  # noqa: F401  (before build_replicated_scheme can warn; see fit_stpp)
-
     if spec.multitype_mode is None:
         raise ValueError("spec has no multitype mode: use fit_stpp")
     if not isinstance(pattern, MarkedPointPattern):

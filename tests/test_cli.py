@@ -791,7 +791,8 @@ class TestCovariateModelFormats:
 
 
 # a fresh interpreter: only a fit may load scipy, so the commands that do not
-# fit start without its import cost
+# fit start without its import cost; a fit loads scipy's LAPACK extension but
+# not the scipy.linalg package, which a later import still gets whole
 COLD_START = f"""
 import sys
 import stppfit, stppfit.cli as cli
@@ -809,7 +810,11 @@ assert [cli.main(argv) for argv in runs] == [0, 0, 0, 0, 0, 2]
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 assert cli.main(["fit", "--pattern", "cold_sim.csv", "--window", "{WINDOW}", "--terms", "1,x",
                  "--out", "cold_fit.json"]) == 0
-assert "scipy" in sys.modules
+assert "scipy.linalg._flapack" in sys.modules and "scipy.linalg" not in sys.modules
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg
+assert scipy.linalg.lapack._flapack is flapack
+assert scipy.linalg.cho_factor([[4.0]])[0][0, 0] == 2.0
 """
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import sys
 import unittest.mock
 
 import numpy as np
@@ -469,6 +471,81 @@ class TestScipySizedCalls:
             values[-1, 1] = 0.0
             with pytest.raises(RankDeficiencyError, match="column 'b'"):
                 _check_rank(DesignMatrix(values, ("a", "b")))
+
+
+class TestLapackWrappers:
+    """glm calls scipy's compiled LAPACK without ``scipy.linalg``; its wrappers pass
+    the routines the arguments scipy's functions pass, so they give the same bytes."""
+
+    @staticmethod
+    def spd(seed, p):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(p + 5, p))
+        scales = 10.0 ** rng.uniform(-6.0, 6.0, size=p)
+        return (a.T @ a) * np.outer(scales, scales), rng
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 40))
+    def test_cholesky_factor_and_solves_match_scipy(self, seed, p):
+        a, rng = self.spd(seed, p)
+        c, lower = scipy.linalg.cho_factor(a)
+        factor = stppfit.glm._cho_factor(a)
+        assert not lower and factor.dtype == c.dtype and factor.shape == c.shape
+        assert factor.tobytes() == c.tobytes()
+        for b in (rng.normal(size=p) * 10.0 ** rng.uniform(-6.0, 6.0), np.eye(p)[-1], np.eye(p)):
+            x = stppfit.glm._cho_solve(factor, b)
+            want = scipy.linalg.cho_solve((c, False), b)
+            assert x.shape == want.shape and x.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 12),
+        rows=st.integers(1, 30),
+        plant=st.booleans(),
+    )
+    def test_pivoted_qr_matches_scipy(self, seed, p, rows, plant):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(rows, p)) * 10.0 ** rng.uniform(-6.0, 6.0, size=p)
+        if plant and p >= 3:  # one column an exact combination of two others
+            j, i, k = rng.permutation(p)[:3]
+            a[:, j] = 1.5 * a[:, i] - 0.75 * a[:, k]
+        (_, _), r_want, piv_want = scipy.linalg.qr(a, mode="raw", pivoting=True)
+        r, piv = stppfit.glm._pivoted_qr(a)
+        assert r.shape == r_want.shape and r.tobytes() == r_want.tobytes()
+        assert piv.dtype == piv_want.dtype and piv.tobytes() == piv_want.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_not_positive_definite_raises_linalg_error(self, p):
+        a, _ = self.spd(p, p)
+        a[-1, -1] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(a)
+        with pytest.raises(np.linalg.LinAlgError, match=f"{p}-th leading minor"):
+            stppfit.glm._cho_factor(a)
+
+    def test_nan_raises_value_error(self):
+        a, _ = self.spd(0, 3)
+        factor = stppfit.glm._cho_factor(a)
+        bad = a.copy()
+        bad[1, 2] = np.nan
+        for call, args in [
+            (scipy.linalg.cho_factor, (bad,)),
+            (stppfit.glm._cho_factor, (bad,)),
+            (scipy.linalg.cho_solve, ((factor, False), np.array([1.0, np.nan, 0.0]))),
+            (stppfit.glm._cho_solve, (factor, np.array([1.0, np.nan, 0.0]))),
+            (stppfit.glm._cho_solve, (bad, np.ones(3))),
+            (lambda m: scipy.linalg.qr(m, mode="raw", pivoting=True), (bad,)),
+            (stppfit.glm._pivoted_qr, (bad,)),
+        ]:
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                call(*args)
+
+    def test_a_missing_extension_names_the_path_searched(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        with pytest.raises(ImportError, match=re.escape(f"not at {tmp_path / 'scipy' / 'linalg' / '_flapack'}")):
+            stppfit.glm._flapack()
 
 
 class TestValidation:

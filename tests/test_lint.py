@@ -4,11 +4,12 @@ Only ``stppfit.io`` writes files. It opens each one with ``newline="\\n"``,
 so every output is UTF-8 with ``\\n`` line endings on every platform; a
 ``Path.write_text`` elsewhere would write ``os.linesep``.
 
-Only ``stppfit.glm`` calls LAPACK through ``np.linalg`` or ``scipy.linalg``.
-There the rank check reduces the design in row blocks, and scipy sees only
-n_cols x n_cols matrices, so its OpenBLAS thread pool stays idle; a call
-elsewhere could hand either library the whole design. A bare
-``import scipy.linalg``, which sets the warning filters early, is no call.
+Only ``stppfit.glm`` calls LAPACK, through ``np.linalg`` or scipy's compiled
+``_flapack`` extension, which it alone loads. There the rank check reduces
+the design in row blocks, and scipy sees only n_cols x n_cols matrices, so
+its OpenBLAS thread pool stays idle; a call elsewhere could hand either
+library the whole design. No module imports ``scipy.linalg``: the package
+costs about eight times the memory of the one extension a fit needs.
 """
 
 import ast
@@ -133,6 +134,113 @@ def linalg_calls(source: str) -> list[str]:
 )
 def test_the_check_finds_linalg_calls(source, calls):
     assert bool(linalg_calls(source)) == calls
+
+
+def scipy_linalg_imports(source: str) -> list[str]:
+    """``<line>: <statement>`` for each import in ``source`` of ``scipy.linalg`` or a module in it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, imports",
+    [
+        ("import scipy.linalg", True),
+        ("import scipy.linalg as sla", True),
+        ("def f():\n    import scipy.linalg  # noqa: F401", True),
+        ("from scipy.linalg import cho_factor", True),
+        ("from scipy import linalg", True),
+        ("from scipy.linalg.lapack import dpotrf", True),
+        ("import numpy, scipy.linalg._flapack", True),
+        ("import scipy", False),
+        ("import scipy.stats", False),
+        ("from scipy import stats", False),
+        ("from numpy import linalg", False),
+        ("name = 'scipy.linalg._flapack'", False),
+    ],
+)
+def test_the_check_finds_scipy_linalg_imports(source, imports):
+    assert bool(scipy_linalg_imports(source)) == imports
+
+
+def test_no_module_imports_scipy_linalg():
+    imports = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := scipy_linalg_imports(path.read_text(encoding="utf-8")))
+    }
+    assert imports == {}
+
+
+def _names_flapack(node: ast.AST) -> bool:
+    """Whether ``node`` is a name, attribute, import alias or string holding ``flapack``."""
+    if isinstance(node, ast.Name):
+        text = node.id
+    elif isinstance(node, ast.Attribute):
+        text = node.attr
+    elif isinstance(node, ast.alias):
+        text = node.name
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        text = node.value
+    else:
+        return False
+    return "flapack" in text
+
+
+def flapack_uses(source: str) -> list[str]:
+    """``<line>: <code>`` for each name, attribute, import or string in ``source`` that
+    names scipy's ``_flapack`` extension; a docstring is no use of it."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if _names_flapack(node) and id(node) not in docstrings
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, uses",
+    [
+        ("_flapack().dpotrf(a)", True),
+        ("from .glm import _flapack", True),
+        ("from . import glm\nglm._flapack().dgeqp3(a)", True),
+        ("sys.modules['scipy.linalg._flapack']", True),
+        ("path = os.path.join(d, '_flapack' + suffix)", True),
+        ("importlib.import_module('scipy.linalg._flapack')", True),
+        ('def f():\n    """Calls ``_flapack``."""\n    return 1', False),
+        ('"""A module that names ``_flapack`` in its docstring."""', False),
+        ("from .glm import fit_irls\nfit_irls(X, y, w)", False),
+        ("lapack = np.linalg.qr(a)", False),
+    ],
+)
+def test_the_check_finds_flapack_uses(source, uses):
+    assert bool(flapack_uses(source)) == uses
+
+
+def test_only_glm_loads_or_calls_flapack():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert flapack_uses((PACKAGE / "glm.py").read_text(encoding="utf-8"))
+    uses = {
+        path.name: found
+        for path in modules
+        if path.name != "glm.py" and (found := flapack_uses(path.read_text(encoding="utf-8")))
+    }
+    assert uses == {}
 
 
 def test_only_glm_calls_linalg():

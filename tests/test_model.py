@@ -58,14 +58,12 @@ def marked_pattern(n_a, n_b, seed=0):
 
 def spy_on(monkeypatch, *targets):
     """Wrap each ``(module, name)`` function; the returned list collects one
-    ``("module.name", [shape of each array argument])`` per call, where a
-    ``(factor, lower)`` tuple counts as its factor."""
+    ``("module.name", [shape of each array argument])`` per call."""
     calls = []
     for module, attr in targets:
 
         def spy(*args, _call=getattr(module, attr), _name=f"{module.__name__}.{attr}", **kwargs):
-            arrays = [a[0] if isinstance(a, tuple) else a for a in args]
-            calls.append((_name, [np.shape(a) for a in arrays if isinstance(a, np.ndarray)]))
+            calls.append((_name, [np.shape(a) for a in args if isinstance(a, np.ndarray)]))
             return _call(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, spy)
@@ -383,15 +381,13 @@ class TestFitMultitype:
 
     def test_interact_all_rank_check_runs_once_on_the_base(self, monkeypatch):
         # numpy reduces the K x p base B (not the M*K-row expansion) to one R per
-        # row block, then the stacked Rs to B's p x p R; scipy's pivoted QR runs
+        # row block, then the stacked Rs to B's p x p R; LAPACK's pivoted QR runs
         # once, on that R
-        import scipy.linalg
-
         import stppfit.glm
 
         block = 100
         monkeypatch.setattr(stppfit.glm, "_RANK_BLOCK_ROWS", block)
-        calls = spy_on(monkeypatch, (np.linalg, "qr"), (scipy.linalg, "qr"))
+        calls = spy_on(monkeypatch, (np.linalg, "qr"), (stppfit.glm, "_pivoted_qr"))
         pat = marked_pattern(40, 60, seed=20)
         terms = (Intercept(), CoordinateMonomial(1, 0, 0), CoordinateMonomial(0, 0, 1))
         fit_multitype(pat, ModelSpec(terms, multitype_mode=MarkFixedEffects(True)), RES8)
@@ -401,12 +397,12 @@ class TestFitMultitype:
         assert numpy_shapes == [(min(block, k - i), 3) for i in range(0, k, block)] + [(3 * n_blocks, 3)]
         assert max(rows for rows, _ in numpy_shapes) <= block < k  # no call sees more than one block of B
         assert all(rows < 2 * k for rows, _ in numpy_shapes)  # none sees the M*K expansion
-        assert [s for name, s in calls if name == "scipy.linalg.qr"] == [[(3, 3)]]
+        assert [s for name, s in calls if name == "stppfit.glm._pivoted_qr"] == [[(3, 3)]]
 
     def test_scipy_sees_only_design_column_sized_arrays(self, monkeypatch):
         # numpy and scipy bundle separate OpenBLAS pools; scipy's stays idle
-        # as long as it gets at most p x p matrices and one 1-D right-hand side
-        import scipy.linalg
+        # as long as its LAPACK gets at most p x p matrices and one 1-D right-hand side
+        import stppfit.glm
 
         rng = np.random.default_rng(31)
         labels = [f"L{m:02d}" for m in range(12)]
@@ -421,11 +417,12 @@ class TestFitMultitype:
                 marked_pattern(30, 50, seed=33), ModelSpec(terms, MarkFixedEffects(False), ridge_on_marks=0.5), RES8
             ),
         ]
-        calls = spy_on(monkeypatch, (scipy.linalg, "qr"), (scipy.linalg, "cho_factor"), (scipy.linalg, "cho_solve"))
+        wrappers = ("_pivoted_qr", "_cho_factor", "_cho_solve")
+        calls = spy_on(monkeypatch, *((stppfit.glm, f) for f in wrappers))
         for fit in fits:
             calls.clear()
             p = fit().fit.coefficients.size
-            assert {name for name, _ in calls} == {f"scipy.linalg.{f}" for f in ("qr", "cho_factor", "cho_solve")}
+            assert {name for name, _ in calls} == {f"stppfit.glm.{f}" for f in wrappers}
             for name, (matrix, *rhs) in calls:
                 assert len(matrix) == 2 and max(matrix) <= p, (name, matrix, p)
                 assert all(len(b) == 1 for b in rhs), (name, rhs)
