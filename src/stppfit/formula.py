@@ -87,8 +87,8 @@ def _parse_product(tokens, pos, sign, text):
 
     A number factor multiplies the coefficient, which starts at ``sign``;
     x, y or t with an optional ``^n`` adds n to that variable's exponent.
-    Returns the coefficient, the x, y, t exponents as a list, the position
-    after the product and the count of number factors.
+    Returns the coefficient, the term (``Intercept()`` for degree 0, as in
+    both grammars), the position after the product and the count of number factors.
     """
     coef, exps, numbers = sign, [0, 0, 0], 0
     while True:
@@ -115,7 +115,7 @@ def _parse_product(tokens, pos, sign, text):
         else:
             raise ValueError(f"unexpected token {val!r} in {text!r}")
         if tokens[pos : pos + 1] != [("op", "*")]:
-            return coef, exps, pos, numbers
+            return coef, CoordinateMonomial(*exps) if any(exps) else Intercept(), pos, numbers
         pos += 1
 
 
@@ -137,8 +137,7 @@ def parse_log_linear(text: str) -> LogLinearExpression:
             if tokens[pos][1] == "-":
                 sign = -sign
             pos += 1
-        coef, exps, pos, _ = _parse_product(tokens, pos, sign, text)
-        term = CoordinateMonomial(*exps) if any(exps) else Intercept()
+        coef, term, pos, _ = _parse_product(tokens, pos, sign, text)
         coefs[term] = coefs.get(term, 0.0) + coef
     for term, coef in coefs.items():
         if not math.isfinite(coef):
@@ -161,9 +160,6 @@ def parse_term_list(
         tok = raw.strip()
         if not tok:
             raise ValueError(f"empty term in list {text!r}")
-        if tok == "1":
-            terms.append(Intercept())
-            continue
         if _is_covariate_name(tok):
             if tok not in externals:
                 raise ValueError(
@@ -173,8 +169,8 @@ def parse_term_list(
             terms.append(externals[tok])
             continue
         tokens = _tokenize(tok)
-        _, exps, pos, numbers = _parse_product(tokens, 0, 1.0, tok)
-        if numbers or pos != len(tokens):
+        _, term, pos, numbers = _parse_product(tokens, 0, 1.0, tok)
+        if pos != len(tokens) or (numbers and tok != "1"):  # the one number a term can be is the intercept's 1
             raise ValueError(f"malformed term {tok!r}")
-        terms.append(CoordinateMonomial(*exps))
+        terms.append(term)
     return tuple(terms)

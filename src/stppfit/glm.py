@@ -189,13 +189,13 @@ class IrlsConfig:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Fitted coefficients with curvature-based uncertainty and diagnostics."""
+    """Fitted coefficients with curvature-based uncertainty and diagnostics; ``deviance``
+    and ``iterations`` are read off ``deviance_trace``, so neither is stored."""
 
     coefficients: np.ndarray
     covariance: np.ndarray
     deviance_trace: tuple[float, ...]  # the deviance after each accepted step, starting value first
     log_likelihood_approx: float
-    iterations: int
     converged: bool
 
     def __post_init__(self):
@@ -222,6 +222,11 @@ class FitResult:
     def deviance(self) -> float:
         """The deviance at the returned coefficients: the last entry of ``deviance_trace``."""
         return self.deviance_trace[-1]
+
+    @property
+    def iterations(self) -> int:
+        """Accepted IRLS steps: one per entry of ``deviance_trace`` after the starting value."""
+        return len(self.deviance_trace) - 1
 
 
 def _validated(X: DesignMatrix, y, w, theta=None, penalty=None):
@@ -445,7 +450,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
     # refreshes both once, so the covariance inverts the Fisher matrix at the end
     grad, fisher = _score_fisher(X, y, w, theta, lam, pen, pos)
     grad_tol = GRADIENT_RTOL * sw
-    iterations, at_guard = 0, False
+    at_guard = False
     for iterations in range(1, cfg.max_iterations + 1):
         try:
             delta = _cho_solve(_cho_factor(fisher), grad)
@@ -476,9 +481,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
                     break
             step *= 0.5
         else:
-            # no usable step: already at the optimum within roundoff, or stuck
-            iterations -= 1
-            break
+            break  # no usable step: already at the optimum within roundoff, or stuck
 
         rel_change = abs(pdev - cand_pdev) / max(abs(cand_pdev), 1e-300)
         theta, lam, pdev = cand, cand_lam, cand_pdev
@@ -489,7 +492,7 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
 
     if at_guard:
         raise FitError(
-            f"the maximum-likelihood estimate does not exist: after {iterations} iterations "
+            f"the maximum-likelihood estimate does not exist: after {len(trace) - 1} iterations "
             f"the linear predictor still runs into its bound |eta| <= {MAX_LINEAR_PREDICTOR:g} "
             "(the data separate from the dummy points)"
         )
@@ -503,5 +506,5 @@ def fit_irls(X: DesignMatrix, y, w, cfg: IrlsConfig | None = None, penalty=None)
     cov = 0.5 * (cov + cov.T)
 
     return FitResult(coefficients=theta, covariance=cov, deviance_trace=trace,
-                     log_likelihood_approx=_loglik(y, w, X.dot(theta), lam), iterations=iterations,
+                     log_likelihood_approx=_loglik(y, w, X.dot(theta), lam),
                      converged=float(np.abs(grad).max()) <= grad_tol)

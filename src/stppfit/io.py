@@ -5,7 +5,8 @@ any platform); CSV floats have 17 significant digits, JSON the round-tripping re
 are therefore byte-deterministic for identical inputs under one BLAS thread
 count; the log-likelihood, AIC and simulated expected count come from long
 dot products whose last digits may move with that count. FORMATS.md in the
-repository root documents every column.
+repository root documents every column. A model file loads only when each
+derived entry (``_DERIVED``) is what ``model_to_dict`` writes for its model.
 
 One formatter writes every CSV: ``format_rows`` renders a block of rows as
 one ``%`` operation, and ``_write_csv`` streams such blocks to the open file.
@@ -280,43 +281,40 @@ def _entry(d: dict, key: str, kind: type = dict):
     return v
 
 
+# each entry model_to_dict derives from the others, and the message naming the fact it follows from ({n}: levels)
+_DERIVED = (
+    (lambda d: d["kind"], "entry 'kind' is not {expected!r}, which the 'levels' entry implies"),
+    (lambda d: d["n_dummy"], "entry 'n_dummy' is not {expected!r}, the cell count of 'grid_resolution'"),
+    (lambda d: [v["index"] for v in d["levels"]],
+     "level indices must be the 1-based positions 1..{n} in order, got {got}"),
+    (lambda d: [c["name"] for c in d["coefficients"]],
+     "coefficient names {got} do not match the model's columns {expected}"),
+    (lambda d: [c["std_error"] for c in d["coefficients"]],
+     "coefficient 'std_error' entries {got} are not {expected}, the square roots of the diagonal of 'covariance'"),
+    (lambda d: d["fit"]["deviance"], "entry 'deviance' is not {expected!r}, the last entry of 'deviance_trace'"),
+    (lambda d: d["fit"]["aic"], "entry 'aic' is not {expected!r}, 2p - 2 'log_likelihood_approx' for p coefficients"),
+    (lambda d: d["fit"]["iterations"], "entry 'iterations' is not {expected!r}, the 'deviance_trace' length less one"),
+)
+
+
 def model_from_dict(d: dict) -> FittedModel:
+    """The model the primary entries of ``d`` describe; each derived entry must be what saving it writes."""
     if not isinstance(d, dict):
         raise ValueError(f"a model must be a JSON object, got {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {d.get('schema_version')!r}")
     levels, coefficients, fit = _entry(d, "levels", list), _entry(d, "coefficients", list), _entry(d, "fit")
-    indices = [lv["index"] for lv in levels]
-    if indices != list(range(1, len(indices) + 1)):
-        raise ValueError(f"level indices must be the 1-based positions 1..{len(indices)} in order, got {indices}")
-    spec = ModelSpec(
-        terms=tuple(_term_from_dict(t) for t in _entry(d, "terms", list)),
-        multitype_mode=None if d["multitype_mode"] is None
-        else MarkFixedEffects(bool(_entry(d, "multitype_mode")["interact_all"])),
-        ridge_on_marks=float(d["ridge_on_marks"]),
-    )
-    model = FittedModel(
-        spec=spec,
-        window=window_from_dict(_entry(d, "window")),
-        resolution=GridResolution(*d["grid_resolution"]),
-        n_data=int(d["n_data"]),
-        fit=FitResult(
-            coefficients=np.array([c["estimate"] for c in coefficients], dtype=float),
-            covariance=np.array(d["covariance"], dtype=float),
-            deviance_trace=fit["deviance_trace"],
-            log_likelihood_approx=float(fit["log_likelihood_approx"]),
-            iterations=int(fit["iterations"]),
-            converged=bool(fit["converged"]),
-        ),
-        levels=tuple(lv["label"] for lv in levels),
-    )
-    names, expected = [c["name"] for c in coefficients], list(model.column_names)
-    if names != expected:
-        raise ValueError(f"coefficient names {names} do not match the model's columns {expected}")
-    if float(fit["deviance"]) != model.fit.deviance:
-        raise ValueError(f"entry 'deviance' is not {model.fit.deviance!r}, the last entry of 'deviance_trace'")
-    if int(d["n_dummy"]) != model.n_dummy:
-        raise ValueError(f"entry 'n_dummy' is not {model.n_dummy}, the cell count of 'grid_resolution'")
+    mode = None if d["multitype_mode"] is None else MarkFixedEffects(bool(_entry(d, "multitype_mode")["interact_all"]))
+    spec = ModelSpec(tuple(_term_from_dict(t) for t in _entry(d, "terms", list)), mode, float(d["ridge_on_marks"]))
+    result = FitResult(coefficients=np.array([c["estimate"] for c in coefficients], dtype=float),
+                       covariance=np.array(d["covariance"], dtype=float), deviance_trace=fit["deviance_trace"],
+                       log_likelihood_approx=float(fit["log_likelihood_approx"]), converged=bool(fit["converged"]))
+    model = FittedModel(spec, window_from_dict(_entry(d, "window")), GridResolution(*d["grid_resolution"]),
+                        int(d["n_data"]), result, tuple(lv["label"] for lv in levels))
+    written = model_to_dict(model)
+    for entry, message in _DERIVED:
+        if entry(d) != entry(written):
+            raise ValueError(message.format(got=entry(d), expected=entry(written), n=len(levels)))
     return model
 
 

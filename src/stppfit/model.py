@@ -38,7 +38,7 @@ from .cubature import (
     responses,
 )
 from .glm import DesignMatrix, FitResult, IrlsConfig, fit_irls
-from .patterns import MarkedPointPattern, PointPattern, SpaceTimePoint, Window, _validated_marks
+from .patterns import MarkedPointPattern, PointPattern, SpaceTimePoint, Window, _first_outside, _validated_marks
 
 __all__ = [
     "MarkFixedEffects",
@@ -204,31 +204,32 @@ class FittedModel:
         offset = 0.0 if pos == 0 else float(self.fit.coefficients[p + pos - 1])
         return self.fit.coefficients[:p], offset
 
-    def _inside(self, p: SpaceTimePoint) -> tuple[float, float, float]:
-        if not self.window.contains(*p):
-            raise ValueError(f"point ({p.x}, {p.y}, {p.t}) lies outside the fitted window")
-        return p
+    def _terms(self, x, y, t) -> np.ndarray:
+        """The term matrix at points of the closed fitted window; a point outside it, or nan, raises."""
+        cols = [np.asarray(v, dtype=float).reshape(-1) for v in (x, y, t)]
+        i = _first_outside(self.window, cols)
+        if i is not None:
+            raise ValueError(f"point ({cols[0][i]}, {cols[1][i]}, {cols[2][i]}) lies outside the fitted window")
+        return _term_matrix(self.spec.terms, *cols)
 
     def predict_intensity(self, p: SpaceTimePoint, mark=None) -> float:
         """Fitted intensity at a point (a mark is required iff the model is marked)."""
-        x, y, t = self._inside(p)
-        return float(self.intensity_values([x], [y], [t], mark)[0])
+        return float(self.intensity_values([p.x], [p.y], [p.t], mark)[0])
 
     def marginal_intensity(self, p: SpaceTimePoint) -> float:
         """Ground intensity of a marked model: the sum over all mark levels."""
-        x, y, t = self._inside(p)
-        return float(self.marginal_values([x], [y], [t])[0])
+        return float(self.marginal_values([p.x], [p.y], [p.t])[0])
 
     def intensity_values(self, x, y, t, mark=None) -> np.ndarray:
-        """Vectorized fitted intensity at coordinate arrays (one level if marked)."""
+        """Vectorized fitted intensity at coordinate arrays (one level if marked) in the fitted window."""
         coefs, offset = self._coefs(mark)
-        return np.exp(_term_matrix(self.spec.terms, x, y, t) @ coefs + offset)
+        return np.exp(self._terms(x, y, t) @ coefs + offset)
 
     def marginal_values(self, x, y, t) -> np.ndarray:
-        """Vectorized ground intensity of a marked model (sum over levels)."""
+        """Vectorized ground intensity of a marked model (sum over levels) in the fitted window."""
         if not self.is_marked:
             raise ValueError("marginal intensity is defined for marked models only")
-        terms = _term_matrix(self.spec.terms, x, y, t)
+        terms = self._terms(x, y, t)
         out = np.zeros(terms.shape[0])
         for label in self.levels:
             coefs, offset = self._coefs(label)

@@ -109,17 +109,21 @@ class Window:
         return lx * ly * lt
 
     def contains(self, x: float, y: float, t: float) -> bool:
-        return (
-            self.x_range[0] <= x <= self.x_range[1]
-            and self.y_range[0] <= y <= self.y_range[1]
-            and self.t_range[0] <= t <= self.t_range[1]
-        )
+        return _first_outside(self, np.array([[x], [y], [t]], dtype=float)) is None
 
     def contains_window(self, other: "Window") -> bool:
         return all(
             o_lo >= s_lo and o_hi <= s_hi
             for (s_lo, s_hi), (o_lo, o_hi) in zip(self.ranges, other.ranges)
         )
+
+
+def _first_outside(window: Window, columns) -> int | None:
+    """The first row of the coordinate ``columns`` x, y, t outside the closed ``window``, or None. Per-column
+    extrema rule most inputs in first; nan fails every comparison, so a nan coordinate lies outside."""
+    if not len(columns[0]) or all(c.min() >= lo and c.max() <= hi for c, (lo, hi) in zip(columns, window.ranges)):
+        return None
+    return int(np.argmax(~np.all([(c >= lo) & (c <= hi) for c, (lo, hi) in zip(columns, window.ranges)], axis=0)))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -142,10 +146,8 @@ class PointPattern:
 
     def _set_locations(self, window: Window, xyt: np.ndarray) -> None:
         """Check that every row of the (n, 3) array ``xyt``, which the pattern then owns, lies in ``window``."""
-        lo, hi = np.array(window.ranges).T
-        # per-column extrema rule most patterns in; nan fails every comparison, so it reaches the row check
-        if xyt.size and not ((xyt.min(axis=0) >= lo).all() and (xyt.max(axis=0) <= hi).all()):
-            i = int(np.argmax(~((xyt >= lo) & (xyt <= hi)).all(axis=1)))
+        i = _first_outside(window, xyt.T)
+        if i is not None:
             x, y, t = xyt[i].tolist()
             problem = "lies outside" if np.isfinite(xyt[i]).all() else "is not finite, so not inside"
             raise ValueError(

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -159,6 +160,16 @@ class TestFitCommand:
         estimate = float(row.split()[1])
         assert abs(estimate - 4.605170185988092) < 1e-6
         assert (workdir / "m0.json").exists()
+
+    def test_zero_degree_product_writes_the_intercept(self, workdir):
+        files = []
+        for n, terms in enumerate(["1,x", "x^0,x", "y^0*t^0,x"]):
+            r = run_cli("fit", "--pattern", "u100.csv", "--window", WINDOW, "--terms", terms,
+                        "--grid", "5,5,5", "--out", f"const{n}.json", cwd=workdir)
+            assert r.returncode == 0, r.stderr
+            files.append((workdir / f"const{n}.json").read_bytes())
+        assert json.loads(files[0])["terms"][0] == {"type": "intercept"}
+        assert files[1] == files[0] and files[2] == files[0]
 
     def test_unknown_term_is_usage_error(self, workdir):
         r = run_cli(
@@ -758,6 +769,38 @@ class TestGoldenOutputs:
         # refactor of the fitting path shows any change in the bytes it writes
         for name, data in golden_outputs(tmp_path).items():
             assert data == (FIXTURES / f"golden_{name}").read_bytes(), name
+
+
+# each derived entry of a model file: how to alter it, and the words of the load error that name it
+DERIVED_EDITS = {
+    "kind": (lambda d: d.update(kind={"unmarked": "multitype", "multitype": "unmarked"}[d["kind"]]), "entry 'kind'"),
+    "n_dummy": (lambda d: d.update(n_dummy=d["n_dummy"] + 1), "entry 'n_dummy'"),
+    "levels.index": (lambda d: d["levels"][-1].update(index=len(d["levels"]) + 1), "level indices"),
+    "coefficients.name": (lambda d: d["coefficients"][-1].update(name="zzz"), "coefficient names"),
+    "coefficients.std_error": (lambda d: d["coefficients"][0].update(std_error=2 * d["coefficients"][0]["std_error"]),
+                               "coefficient 'std_error' entries"),
+    "fit.deviance": (lambda d: d["fit"].update(deviance=d["fit"]["deviance"] + 1.0), "entry 'deviance'"),
+    "fit.aic": (lambda d: d["fit"].update(aic=d["fit"]["aic"] + 1.0), "entry 'aic'"),
+    "fit.iterations": (lambda d: d["fit"].update(iterations=d["fit"]["iterations"] + 1), "entry 'iterations'"),
+}
+# library-written files of the four modes (test_io checks that each is what saving its model writes)
+DERIVED_CASES = [(model, entry) for model in ("unmarked", "interact_all", "shared_ridge", "covariate")
+                 for entry in DERIVED_EDITS if entry != "levels.index" or model in ("interact_all", "shared_ridge")]
+
+
+class TestDerivedModelEntries:
+    @pytest.mark.parametrize("model, entry", DERIVED_CASES)
+    def test_altered_entry_fails_load_and_predict_grid(self, tmp_path, model, entry):
+        alter, words = DERIVED_EDITS[entry]
+        d = json.loads((FIXTURES / f"golden_{model}.json").read_text())
+        alter(d)
+        (tmp_path / "model.json").write_text(json.dumps(d, indent=2))
+        with pytest.raises(ValueError, match=re.escape(f"model file {str(tmp_path / 'model.json')!r}: {words}")):
+            load_model(tmp_path / "model.json")
+        r = run_cli("predict-grid", "--model", "model.json", "--grid", "2", "--out", "surface.csv", cwd=tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: model file 'model.json': {words}")
+        assert not (tmp_path / "surface.csv").exists()
 
 
 # legacy_external_model.json and legacy_external_surface.csv are COVARIATE_FIT

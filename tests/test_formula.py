@@ -135,6 +135,13 @@ class TestParseTermList:
             CoordinateMonomial(1, 0, 1),
         )
 
+    @pytest.mark.parametrize("text", ["1", "x^0", "y^0*t^0", "x^0*y^0*t^0"])
+    def test_zero_degree_product_is_the_intercept(self, text):
+        # as in an expression, so a zero-degree term saves as the one intercept term
+        (term,) = parse_term_list(text)
+        assert type(term) is Intercept
+        assert parse_log_linear(f"2*{text}").terms() == (term,)
+
     def test_exponent_syntax(self):
         (term,) = parse_term_list("x^2*y")
         assert term == CoordinateMonomial(2, 1, 0)

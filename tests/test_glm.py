@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from stppfit import (
     DesignMatrix,
     FitError,
+    FitResult,
     GridResolution,
     IrlsConfig,
     PointPattern,
@@ -272,6 +273,14 @@ class TestFitIrls:
         assert res.coefficients[0] == pytest.approx(math.log(100.0), abs=1e-8)
         assert res.iterations == 1  # the start is the exact stationary point
 
+    def test_iterations_are_the_accepted_steps_of_the_deviance_trace(self):
+        fit = FitResult(coefficients=[0.0], covariance=[[1.0]], deviance_trace=[3.0, 2.0, 1.5],
+                        log_likelihood_approx=-1.0, converged=True)
+        assert fit.iterations == 2 and fit.deviance == 1.5
+        with pytest.raises(TypeError, match="iterations"):
+            FitResult(coefficients=[0.0], covariance=[[1.0]], deviance_trace=[1.0],
+                      log_likelihood_approx=-1.0, iterations=0, converged=True)
+
     def test_closed_form_intercept_property(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -386,6 +395,7 @@ class TestFitIrlsProperties:
         cfg = IrlsConfig(max_iterations=max_iterations)
         res = fit_irls(X, y, w, cfg, pen)
         assert res.deviance == res.deviance_trace[-1]
+        assert res.iterations == len(res.deviance_trace) - 1 <= max_iterations
         assert res.log_likelihood_approx == weighted_poisson_loglik(X, y, w, res.coefficients)
         grad, fisher = score_and_fisher(X, y, w, res.coefficients, pen)
         assert res.converged == (float(np.abs(grad).max()) <= 1e-8 * w.sum())

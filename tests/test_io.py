@@ -31,6 +31,7 @@ from stppfit.io import (
     model_from_dict,
     model_to_dict,
     read_covariate_samples,
+    read_json,
     read_pattern_csv,
     save_model,
     window_from_dict,
@@ -489,6 +490,25 @@ class TestModelJson:
         d["ridge_on_marks"] = 0.5
         with pytest.raises(ValueError, match="multitype mode"):
             model_from_dict(d)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+MODEL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json") if isinstance(read_json(p), dict))
+
+
+class TestModelFormatStability:
+    def test_fixture_search_finds_every_mode(self):
+        assert MODEL_FIXTURES == ["golden_covariate.json", "golden_interact_all.json", "golden_shared_ridge.json",
+                                  "golden_unmarked.json", "legacy_external_model.json"]
+
+    @pytest.mark.parametrize("name", MODEL_FIXTURES)
+    def test_fixture_is_what_saving_its_model_writes(self, tmp_path, name):
+        # unmarked, interact_all, shared terms with ridge, IDW covariate and the older grid-values form
+        model = load_model(FIXTURES / name)
+        assert model_to_dict(model) == read_json(FIXTURES / name)
+        save_model(model, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+        assert model.fit.iterations == len(model.fit.deviance_trace) - 1
 
 
 class TestWindowDict:

@@ -10,14 +10,22 @@ the design in row blocks, and scipy sees only n_cols x n_cols matrices, so
 its OpenBLAS thread pool stays idle; a call elsewhere could hand either
 library the whole design. No module imports ``scipy.linalg``: the package
 costs about eight times the memory of the one extension a fit needs.
+
+The key table of the fitted model JSON in FORMATS.md, and its ``fit`` row,
+name exactly the keys ``model_to_dict`` writes, in order, so the format
+document cannot drift from the writer.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stppfit"
+from stppfit.io import load_model, model_to_dict
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "stppfit"
 WRITE_CALLS = {"write_text", "write_bytes"}
 MODE_LETTERS = set("rwxabt+")
 LINALG_MODULES = {"numpy.linalg", "scipy.linalg"}
@@ -252,3 +260,34 @@ def test_only_glm_calls_linalg():
         if path.name != "glm.py" and (found := linalg_calls(path.read_text(encoding="utf-8")))
     }
     assert calls == {}
+
+
+def model_json_keys(markdown: str) -> tuple[list[str], list[str]]:
+    """The keys the table under ``## Fitted model JSON`` names, in order (a first cell may
+    name several, separated by commas), and the keys its ``fit`` row lists as ``{a, b, ...}``."""
+    section = ("\n" + markdown).split("\n## Fitted model JSON\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip().strip("|").split("|", 1) for line in section.splitlines() if line.startswith("|")]
+    keys, fit = [], []
+    for cell, meaning in rows[2:]:  # after the header row and its rule
+        keys += [key.strip() for key in cell.split(",")]
+        if cell.strip() == "fit":
+            fit = [key.strip() for key in re.fullmatch(r"\s*`\{(.*)\}`\s*", meaning).group(1).split(",")]
+    return keys, fit
+
+
+@pytest.mark.parametrize(
+    "markdown, keys",
+    [
+        ("## Fitted model JSON\n\n| key | meaning |\n|--|--|\n| a | x |\n| b, c | y |\n", (["a", "b", "c"], [])),
+        ("## Fitted model JSON\n| key | meaning |\n|-|-|\n| fit | `{d, e}` |\n\n## Next\n| g | h |\n",
+         (["fit"], ["d", "e"])),
+        ("## Other\n| z | z |\n## Fitted model JSON\n| key | meaning |\n|-|-|\n| a | `[x, y]` |\n", (["a"], [])),
+    ],
+)
+def test_the_check_reads_the_model_key_table(markdown, keys):
+    assert model_json_keys(markdown) == keys
+
+
+def test_formats_md_names_the_keys_model_to_dict_writes():
+    d = model_to_dict(load_model(ROOT / "tests" / "fixtures" / "golden_shared_ridge.json"))
+    assert model_json_keys((ROOT / "FORMATS.md").read_text(encoding="utf-8")) == (list(d), list(d["fit"]))

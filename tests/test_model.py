@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +260,28 @@ class TestPredict:
         with pytest.raises(ValueError, match="outside"):
             model.predict_intensity(SpaceTimePoint(1.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("x, y, t", [(2.0, 0.5, 0.5), (0.5, -1e-9, 0.5), (0.5, 0.5, math.nan)])
+    def test_every_prediction_path_has_one_window_rule(self, x, y, t):
+        # the vector and scalar paths share one message, whatever terms the model holds
+        from stppfit.io import load_model
+
+        model = fit_stpp(uniform_pattern(40, seed=12), ModelSpec((Intercept(), CoordinateMonomial(1, 0, 0))), RES8)
+        covariate = load_model(Path(__file__).parent / "fixtures" / "golden_covariate.json")
+        message = re.escape(f"point ({x}, {y}, {t}) lies outside the fitted window")
+        for m in (model, covariate):
+            with pytest.raises(ValueError, match=message):
+                m.intensity_values(np.array([0.5, x]), [0.5, y], [0.5, t])
+            if math.isfinite(t):  # a SpaceTimePoint is finite
+                with pytest.raises(ValueError, match=message):
+                    m.predict_intensity(SpaceTimePoint(x, y, t))
+
+    def test_window_boundary_is_inside(self):
+        model = fit_stpp(uniform_pattern(40, seed=12), ModelSpec((Intercept(), CoordinateMonomial(1, 0, 0))), RES8)
+        corners = [0.0, 1.0, 0.0, 1.0]
+        got = model.intensity_values(corners, [0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0])
+        assert got.tobytes() == np.exp(model.coefficients[0] + model.coefficients[1] * np.array(corners)).tobytes()
+        assert model.intensity_values([], [], []).shape == (0,)
+
     def test_mark_argument_on_unmarked_model_rejected(self):
         model = fit_stpp(uniform_pattern(20, seed=11), ModelSpec((Intercept(),)), RES8)
         with pytest.raises(ValueError, match="unmarked"):
@@ -515,6 +539,13 @@ class TestMarkedPrediction:
         model = self.make_model()
         with pytest.raises(ValueError, match="outside"):
             model.marginal_intensity(SpaceTimePoint(0.5, 1.5, 0.5))
+
+    def test_marginal_values_outside_window_rejected(self):
+        model = self.make_model()
+        with pytest.raises(ValueError, match=re.escape("point (0.5, 0.5, nan) lies outside the fitted window")):
+            model.marginal_values([0.5, 0.5], [0.5, 0.5], [0.5, math.nan])
+        with pytest.raises(ValueError, match=re.escape("point (0.5, 1.5, 0.5) lies outside the fitted window")):
+            model.intensity_values([0.5], [1.5], [0.5], mark=model.levels[0])
 
     def test_missing_mark_rejected(self):
         model = self.make_model()
