@@ -86,7 +86,7 @@ DEFAULT_RESOLUTION = GridResolution(10, 10, 10)
 
 
 def _axis_indices(v: np.ndarray, lo: float, hi: float, n: int, name: str) -> np.ndarray:
-    bad = (v < lo) | (v > hi)
+    bad = ~((v >= lo) & (v <= hi))  # nan fails both tests, so it lies outside
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ValueError(f"coordinate {name}={v[k]} outside window range ({lo}, {hi})")
@@ -278,9 +278,7 @@ def approximate_integral(scheme: CubatureScheme, f) -> float:
     ``f`` is called as ``f(x, y, t)`` with the three coordinate arrays and
     must return finite values elementwise.
     """
-    vals = np.asarray(
-        f(scheme.coords[:, 0], scheme.coords[:, 1], scheme.coords[:, 2]), dtype=float
-    )
+    vals = np.asarray(f(*scheme.coords.T), dtype=float)
     if vals.shape != (scheme.size,):
         vals = np.broadcast_to(vals, (scheme.size,))
     bad = ~np.isfinite(vals)

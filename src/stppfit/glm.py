@@ -199,14 +199,18 @@ class FitResult:
     converged: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "deviance_trace", tuple(map(float, self.deviance_trace)))
+        for name, store in (("coefficients", lambda v: _readonly(v.ravel())), ("covariance", _readonly),
+                            ("deviance_trace", lambda v: tuple(v.ravel().tolist())), ("log_likelihood_approx", float)):
+            try:
+                v = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name} must be numbers: {exc}") from None
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite, got {v[~np.isfinite(v)][0]}")
+            object.__setattr__(self, name, store(v))
         if not self.deviance_trace:
             raise ValueError("deviance_trace needs at least the starting deviance")
-        coef = _readonly(np.asarray(self.coefficients, dtype=float).ravel())
-        cov = _readonly(np.asarray(self.covariance, dtype=float))
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "covariance", cov)
-        p = coef.size
+        p, cov = self.coefficients.size, self.covariance
         if cov.shape != (p, p):
             raise ValueError(f"covariance must be {p}x{p}, got {cov.shape}")
         scale = max(1.0, float(np.abs(cov).max()))

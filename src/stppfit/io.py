@@ -5,11 +5,13 @@ any platform); CSV floats have 17 significant digits, JSON the round-tripping re
 are therefore byte-deterministic for identical inputs under one BLAS thread
 count; the log-likelihood, AIC and simulated expected count come from long
 dot products whose last digits may move with that count. FORMATS.md in the
-repository root documents every column. A model file loads only when each
-derived entry (``_DERIVED``) is what ``model_to_dict`` writes for its model.
+repository root documents every column. A model file loads only when it is
+what ``model_to_dict`` writes for the model its primary entries describe.
 
-One formatter writes every CSV: ``format_rows`` renders a block of rows as
-one ``%`` operation, and ``_write_csv`` streams such blocks to the open file.
+``format_rows`` renders a block of rows as one ``%`` operation, and ``_write_csv``
+streams such blocks to the open file: the pattern, covariate-sample and surface
+CSVs are written so. ``stppfit.cli`` formats the convergence-study reports (with
+``_csv_row``, and an f-string for the timings), and ``write_lines`` writes them.
 One parser reads every CSV: ``_read_csv`` splits a block of rows at once and
 converts each numeric column with ``map(float, ...)``. Only a block that
 fails is parsed again row by row, to name the first bad line.
@@ -90,15 +92,11 @@ def read_json(path):
 
 
 def window_to_dict(window: Window) -> dict:
-    return {
-        "x_range": list(window.x_range),
-        "y_range": list(window.y_range),
-        "t_range": list(window.t_range),
-    }
+    return {"x_range": list(window.x_range), "y_range": list(window.y_range), "t_range": list(window.t_range)}
 
 
 def window_from_dict(d: dict) -> Window:
-    return Window(tuple(d["x_range"]), tuple(d["y_range"]), tuple(d["t_range"]))
+    return Window(d["x_range"], d["y_range"], d["t_range"])
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +221,8 @@ def _term_to_dict(term) -> dict:
              "window": window_to_dict(grid.window), "resolution": list(grid.resolution.per_axis)}
         if grid.samples is None:
             return {**d, "values": grid.values.tolist()}
-        idw = {"power": grid.idw.power, "scaling": list(grid.idw.scaling)}
-        return {**d, "idw": idw, "samples": grid.samples.tolist()}
+        return {**d, "idw": {"power": grid.idw.power, "scaling": list(grid.idw.scaling)},
+                "samples": grid.samples.tolist()}
     raise TypeError(f"cannot serialize term of type {type(term).__name__}")
 
 
@@ -238,13 +236,12 @@ def _term_from_dict(d: dict):
         window, res = window_from_dict(d["window"]), GridResolution(*d["resolution"])
         if kind == "external":
             return ExternalCovariate(CovariateGrid(window, res, d["values"]), d["name"])
-        idw = IdwConfig(d["idw"]["power"], d["idw"]["scaling"])
-        return ExternalCovariate(CovariateGrid(window, res, samples=d["samples"], idw=idw), d["name"])
+        return ExternalCovariate(CovariateGrid(window, res, samples=d["samples"], idw=IdwConfig(**d["idw"])), d["name"])
     raise ValueError(f"unknown term type {kind!r}")
 
 
 def model_to_dict(model: FittedModel) -> dict:
-    mode = model.spec.multitype_mode
+    mode, fit = model.spec.multitype_mode, model.fit
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "multitype" if model.is_marked else "unmarked",
@@ -256,19 +253,11 @@ def model_to_dict(model: FittedModel) -> dict:
         "multitype_mode": None if mode is None else {"interact_all": mode.interact_all},
         "ridge_on_marks": model.spec.ridge_on_marks,
         "terms": [_term_to_dict(t) for t in model.spec.terms],
-        "coefficients": [
-            {"name": name, "estimate": est, "std_error": se}
-            for name, est, se in model.coefficient_table()
-        ],
-        "covariance": [[float(v) for v in row] for row in model.fit.covariance],
-        "fit": {
-            "deviance": model.fit.deviance,
-            "log_likelihood_approx": model.fit.log_likelihood_approx,
-            "aic": model.aic,
-            "iterations": model.fit.iterations,
-            "converged": model.fit.converged,
-            "deviance_trace": list(model.fit.deviance_trace),
-        },
+        "coefficients": [{"name": name, "estimate": est, "std_error": se}
+                         for name, est, se in model.coefficient_table()],
+        "covariance": [[float(v) for v in row] for row in fit.covariance],
+        "fit": {"deviance": fit.deviance, "log_likelihood_approx": fit.log_likelihood_approx, "aic": model.aic,
+                "iterations": fit.iterations, "converged": fit.converged, "deviance_trace": list(fit.deviance_trace)},
     }
 
 
@@ -281,40 +270,47 @@ def _entry(d: dict, key: str, kind: type = dict):
     return v
 
 
-# each entry model_to_dict derives from the others, and the message naming the fact it follows from ({n}: levels)
-_DERIVED = (
-    (lambda d: d["kind"], "entry 'kind' is not {expected!r}, which the 'levels' entry implies"),
-    (lambda d: d["n_dummy"], "entry 'n_dummy' is not {expected!r}, the cell count of 'grid_resolution'"),
-    (lambda d: [v["index"] for v in d["levels"]],
-     "level indices must be the 1-based positions 1..{n} in order, got {got}"),
-    (lambda d: [c["name"] for c in d["coefficients"]],
-     "coefficient names {got} do not match the model's columns {expected}"),
-    (lambda d: [c["std_error"] for c in d["coefficients"]],
-     "coefficient 'std_error' entries {got} are not {expected}, the square roots of the diagonal of 'covariance'"),
-    (lambda d: d["fit"]["deviance"], "entry 'deviance' is not {expected!r}, the last entry of 'deviance_trace'"),
-    (lambda d: d["fit"]["aic"], "entry 'aic' is not {expected!r}, 2p - 2 'log_likelihood_approx' for p coefficients"),
-    (lambda d: d["fit"]["iterations"], "entry 'iterations' is not {expected!r}, the 'deviance_trace' length less one"),
-)
+def _check_written(got, written, path: str = "") -> None:
+    """Require ``got``, the parsed file (or its entry at ``path``), to equal ``written``, what saving its model
+    writes. The first entry that differs raises: KeyError(key) if ``got`` lacks it, else ValueError."""
+    if got == written:
+        return
+    if isinstance(got, list) and isinstance(written, list) and len(got) == len(written):
+        i = next(i for i, (a, b) in enumerate(zip(got, written)) if a != b)
+        _check_written(got[i], written[i], f"{path}[{i}]")
+    if isinstance(got, dict) and isinstance(written, dict):
+        key = next(k for k in [*written, *got] if k not in written or got[k] != written[k])  # got[k]: KeyError
+        sub = f"{path}.{key}" if path else key
+        if key not in written:
+            raise ValueError(f"entry {sub!r} is not written by saving the model")
+        _check_written(got[key], written[key], sub)
+    raise ValueError(f"entry {path!r} is {got!r}, but saving the model writes {written!r}")
+
+
+def _named(entry: str, make):
+    """``make()``, which reads the entry ``entry``: a fault in it names that entry."""
+    try:
+        return make()
+    except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: int() of an infinite count
+        raise ValueError(f"entry {entry!r}: {exc}") from None
 
 
 def model_from_dict(d: dict) -> FittedModel:
-    """The model the primary entries of ``d`` describe; each derived entry must be what saving it writes."""
+    """The model the primary entries of ``d`` describe; ``d`` must be what saving that model writes."""
     if not isinstance(d, dict):
         raise ValueError(f"a model must be a JSON object, got {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {d.get('schema_version')!r}")
     levels, coefficients, fit = _entry(d, "levels", list), _entry(d, "coefficients", list), _entry(d, "fit")
     mode = None if d["multitype_mode"] is None else MarkFixedEffects(bool(_entry(d, "multitype_mode")["interact_all"]))
-    spec = ModelSpec(tuple(_term_from_dict(t) for t in _entry(d, "terms", list)), mode, float(d["ridge_on_marks"]))
-    result = FitResult(coefficients=np.array([c["estimate"] for c in coefficients], dtype=float),
-                       covariance=np.array(d["covariance"], dtype=float), deviance_trace=fit["deviance_trace"],
-                       log_likelihood_approx=float(fit["log_likelihood_approx"]), converged=bool(fit["converged"]))
-    model = FittedModel(spec, window_from_dict(_entry(d, "window")), GridResolution(*d["grid_resolution"]),
-                        int(d["n_data"]), result, tuple(lv["label"] for lv in levels))
-    written = model_to_dict(model)
-    for entry, message in _DERIVED:
-        if entry(d) != entry(written):
-            raise ValueError(message.format(got=entry(d), expected=entry(written), n=len(levels)))
+    terms = tuple(_named(f"terms[{i}]", lambda: _term_from_dict(t)) for i, t in enumerate(_entry(d, "terms", list)))
+    spec = ModelSpec(terms, mode, _named("ridge_on_marks", lambda: float(d["ridge_on_marks"])))
+    result = FitResult([c["estimate"] for c in coefficients], d["covariance"], fit["deviance_trace"],
+                       fit["log_likelihood_approx"], bool(fit["converged"]))
+    model = FittedModel(spec, window_from_dict(_entry(d, "window")),
+                        _named("grid_resolution", lambda: GridResolution(*d["grid_resolution"])), d["n_data"], result,
+                        tuple(lv["label"] for lv in levels))
+    _check_written(d, model_to_dict(model))
     return model
 
 
@@ -328,5 +324,5 @@ def load_model(path) -> FittedModel:
         return model_from_dict(read_json(path))
     except KeyError as exc:
         raise ValueError(f"model file {str(path)!r} lacks the entry {exc.args[0]!r}") from None
-    except (ValueError, TypeError) as exc:  # TypeError: a scalar entry of the wrong JSON type, e.g. float(None)
+    except (ValueError, TypeError) as exc:  # TypeError: an entry of a JSON type that no reader above checks
         raise ValueError(f"model file {str(path)!r}: {exc}") from None

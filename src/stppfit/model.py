@@ -150,6 +150,8 @@ class FittedModel:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
+        if not isinstance(self.n_data, (int, np.integer)) or isinstance(self.n_data, bool) or self.n_data < 1:
+            raise ValueError(f"n_data must be an integer >= 1, the count of fitted data points, got {self.n_data!r}")
         if self.levels:
             _validated_marks((), 0, self.levels)  # the label rules of a marked pattern
         if bool(self.levels) != (self.spec.multitype_mode is not None):

@@ -41,7 +41,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _as_interval(name: str, rng) -> tuple[float, float]:
     try:
         lo, hi = (float(rng[0]), float(rng[1]))
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, IndexError, KeyError):
         raise ValueError(f"{name} must be a (low, high) pair, got {rng!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} bounds must be finite, got ({lo}, {hi})")

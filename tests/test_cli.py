@@ -771,36 +771,69 @@ class TestGoldenOutputs:
             assert data == (FIXTURES / f"golden_{name}").read_bytes(), name
 
 
-# each derived entry of a model file: how to alter it, and the words of the load error that name it
+# each derived entry of a model file: how to alter it, and the path by which the load error names it
 DERIVED_EDITS = {
-    "kind": (lambda d: d.update(kind={"unmarked": "multitype", "multitype": "unmarked"}[d["kind"]]), "entry 'kind'"),
-    "n_dummy": (lambda d: d.update(n_dummy=d["n_dummy"] + 1), "entry 'n_dummy'"),
-    "levels.index": (lambda d: d["levels"][-1].update(index=len(d["levels"]) + 1), "level indices"),
-    "coefficients.name": (lambda d: d["coefficients"][-1].update(name="zzz"), "coefficient names"),
+    "kind": (lambda d: d.update(kind={"unmarked": "multitype", "multitype": "unmarked"}[d["kind"]]), "kind"),
+    "n_dummy": (lambda d: d.update(n_dummy=d["n_dummy"] + 1), "n_dummy"),
+    "levels.index": (lambda d: d["levels"][0].update(index=0), "levels[0].index"),
+    "coefficients.name": (lambda d: d["coefficients"][0].update(name="zzz"), "coefficients[0].name"),
     "coefficients.std_error": (lambda d: d["coefficients"][0].update(std_error=2 * d["coefficients"][0]["std_error"]),
-                               "coefficient 'std_error' entries"),
-    "fit.deviance": (lambda d: d["fit"].update(deviance=d["fit"]["deviance"] + 1.0), "entry 'deviance'"),
-    "fit.aic": (lambda d: d["fit"].update(aic=d["fit"]["aic"] + 1.0), "entry 'aic'"),
-    "fit.iterations": (lambda d: d["fit"].update(iterations=d["fit"]["iterations"] + 1), "entry 'iterations'"),
+                               "coefficients[0].std_error"),
+    "fit.deviance": (lambda d: d["fit"].update(deviance=d["fit"]["deviance"] + 1.0), "fit.deviance"),
+    "fit.aic": (lambda d: d["fit"].update(aic=d["fit"]["aic"] + 1.0), "fit.aic"),
+    "fit.iterations": (lambda d: d["fit"].update(iterations=d["fit"]["iterations"] + 1), "fit.iterations"),
 }
 # library-written files of the four modes (test_io checks that each is what saving its model writes)
 DERIVED_CASES = [(model, entry) for model in ("unmarked", "interact_all", "shared_ridge", "covariate")
                  for entry in DERIVED_EDITS if entry != "levels.index" or model in ("interact_all", "shared_ridge")]
+# edits of golden_unmarked.json that a check of the derived entries alone let load (the nan covariance failed
+# in numpy's eigenvalue solver): each message's start names the entry
+UNMARKED_EDITS = {
+    "converged_string": (lambda d: d["fit"].update(converged="false"),
+                         "entry 'fit.converged' is 'false', but saving the model writes True"),
+    "fractional_n_data": (lambda d: d.update(n_data=150.7), "n_data must be an integer >= 1"),
+    "quoted_estimate": (lambda d: d["coefficients"][1].update(estimate=str(d["coefficients"][1]["estimate"])),
+                        "entry 'coefficients[1].estimate' is '"),
+    "quoted_window_bound": (lambda d: d["window"]["x_range"].__setitem__(0, "0.0"),
+                            "entry 'window.x_range[0]' is '0.0', but saving the model writes 0.0"),
+    "unknown_key": (lambda d: d.update(note="hand-edited"), "entry 'note' is not written by saving the model"),
+    "nan_estimate": (lambda d: d["coefficients"][0].update(estimate=float("nan")),
+                     "coefficients must be finite, got nan"),
+    "negative_n_data": (lambda d: d.update(n_data=-5), "n_data must be an integer >= 1"),
+    "infinite_estimate": (lambda d: d["coefficients"][0].update(estimate=float("inf")),
+                          "coefficients must be finite, got inf"),
+    "nan_covariance": (lambda d: d["covariance"][0].__setitem__(0, float("nan")), "covariance must be finite, got nan"),
+}
+
+
+def assert_refused(tmp_path, d, words):
+    """``d`` written as a model file fails ``load_model``, and ``predict-grid`` exits 2 without a surface,
+    each with the message ``words`` starts."""
+    (tmp_path / "model.json").write_text(json.dumps(d, indent=2))
+    with pytest.raises(ValueError, match=re.escape(f"model file {str(tmp_path / 'model.json')!r}: {words}")):
+        load_model(tmp_path / "model.json")
+    r = run_cli("predict-grid", "--model", "model.json", "--grid", "2", "--out", "surface.csv", cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: model file 'model.json': {words}")
+    assert not (tmp_path / "surface.csv").exists()
 
 
 class TestDerivedModelEntries:
     @pytest.mark.parametrize("model, entry", DERIVED_CASES)
     def test_altered_entry_fails_load_and_predict_grid(self, tmp_path, model, entry):
-        alter, words = DERIVED_EDITS[entry]
+        alter, path = DERIVED_EDITS[entry]
         d = json.loads((FIXTURES / f"golden_{model}.json").read_text())
         alter(d)
-        (tmp_path / "model.json").write_text(json.dumps(d, indent=2))
-        with pytest.raises(ValueError, match=re.escape(f"model file {str(tmp_path / 'model.json')!r}: {words}")):
-            load_model(tmp_path / "model.json")
-        r = run_cli("predict-grid", "--model", "model.json", "--grid", "2", "--out", "surface.csv", cwd=tmp_path)
-        assert r.returncode == 2
-        assert r.stderr.startswith(f"error: model file 'model.json': {words}")
-        assert not (tmp_path / "surface.csv").exists()
+        assert_refused(tmp_path, d, f"entry {path!r} is ")
+
+
+class TestModelFileRule:
+    @pytest.mark.parametrize("edit", UNMARKED_EDITS)
+    def test_edit_saving_would_not_write_fails_load_and_predict_grid(self, tmp_path, edit):
+        alter, words = UNMARKED_EDITS[edit]
+        d = json.loads((FIXTURES / "golden_unmarked.json").read_text())
+        alter(d)
+        assert_refused(tmp_path, d, words)
 
 
 # legacy_external_model.json and legacy_external_surface.csv are COVARIATE_FIT

@@ -464,6 +464,13 @@ class TestCovariateFunctions:
         assert f.evaluate([0.1, 0.9], [0.5, 0.5], [0.5, 0.5]).tolist() == [5.0, 9.0]
         assert f.name == "elevation"
 
+    @pytest.mark.parametrize("axis", "xyt")
+    def test_external_at_nan_rejected(self, axis):
+        f = ExternalCovariate(CovariateGrid(UNIT, GridResolution(2, 1, 1), np.array([5.0, 9.0])), "elevation")
+        coords = {a: [float("nan") if a == axis else 0.5] for a in "xyt"}
+        with pytest.raises(ValueError, match=f"coordinate {axis}=nan outside window range"):
+            f.evaluate(coords["x"], coords["y"], coords["t"])
+
     def test_external_outside_grid_window_rejected(self):
         grid = CovariateGrid(UNIT, GridResolution(2, 1, 1), np.array([5.0, 9.0]))
         f = ExternalCovariate(grid, "elevation")

@@ -97,6 +97,12 @@ class TestCubeIndex:
         with pytest.raises(ValueError, match="coordinate t"):
             cell_indices(UNIT, GridResolution(2, 2, 2), [0.5], [0.5], [-0.1])
 
+    @pytest.mark.parametrize("axis", "xyt")
+    def test_nan_is_outside_the_window(self, axis):
+        coords = {a: [0.5, float("nan") if a == axis else 0.5] for a in "xyt"}
+        with pytest.raises(ValueError, match=re.escape(f"coordinate {axis}=nan outside window range (0.0, 1.0)")):
+            cell_indices(UNIT, GridResolution(4, 4, 4), coords["x"], coords["y"], coords["t"])
+
     def test_matches_reference_on_random_points(self):
         rng = np.random.default_rng(123)
         window = Window.from_bounds(-1, 3, 0, 2, 5, 9)

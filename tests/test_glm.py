@@ -281,6 +281,21 @@ class TestFitIrls:
             FitResult(coefficients=[0.0], covariance=[[1.0]], deviance_trace=[1.0],
                       log_likelihood_approx=-1.0, iterations=0, converged=True)
 
+    @pytest.mark.parametrize("field", ["coefficients", "covariance", "deviance_trace", "log_likelihood_approx"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_numbers_rejected(self, field, bad):
+        args = {"coefficients": [0.0, 1.0], "covariance": [[1.0, 0.0], [0.0, 1.0]], "deviance_trace": [3.0, 2.0],
+                "log_likelihood_approx": -1.0}
+        args[field] = {"coefficients": [0.0, bad], "covariance": [[1.0, 0.0], [0.0, bad]],
+                       "deviance_trace": [3.0, bad], "log_likelihood_approx": bad}[field]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {bad}")):
+            FitResult(**args, converged=True)
+
+    def test_numbers_that_are_not_numbers_rejected(self):
+        with pytest.raises(ValueError, match="coefficients must be numbers: could not convert string to float"):
+            FitResult(coefficients=["abc"], covariance=[[1.0]], deviance_trace=[1.0],
+                      log_likelihood_approx=-1.0, converged=True)
+
     def test_closed_form_intercept_property(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

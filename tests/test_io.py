@@ -1,3 +1,4 @@
+import json
 import re
 import tempfile
 import tracemalloc
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stppfit import (
@@ -362,7 +363,7 @@ class TestModelJson:
         d = self.marked_dict()
         assert d["levels"] == [{"label": "A", "index": 1}, {"label": "B", "index": 2}]
         d["levels"][0]["index"], d["levels"][1]["index"] = 2, 1
-        with pytest.raises(ValueError, match=re.escape("1-based positions 1..2 in order, got [2, 1]")):
+        with pytest.raises(ValueError, match=re.escape("entry 'levels[0].index' is 2, but saving the model writes 1")):
             model_from_dict(d)
 
     def test_schema_version_checked(self, tmp_path):
@@ -376,7 +377,8 @@ class TestModelJson:
         with pytest.raises(ValueError, match="schema"):
             load_model(tmp_path / "model.json")
 
-    @pytest.mark.parametrize("section, key", [(None, "multitype_mode"), ("fit", "deviance_trace")])
+    @pytest.mark.parametrize("section, key", [(None, "multitype_mode"), ("fit", "deviance_trace"),
+                                              (None, "kind"), ("fit", "aic")])  # primary and derived entries
     def test_missing_entry_names_file_and_entry(self, tmp_path, section, key):
         import json
 
@@ -430,8 +432,8 @@ class TestModelJson:
         d["fit"]["deviance"] = last + 1.0
         path = tmp_path / "model.json"
         path.write_text(json.dumps(d))
-        with pytest.raises(ValueError, match=re.escape(
-                f"model file {str(path)!r}: entry 'deviance' is not {last!r}, the last entry of 'deviance_trace'")):
+        with pytest.raises(ValueError, match=re.escape(f"model file {str(path)!r}: entry 'fit.deviance' is "
+                                                      f"{last + 1.0!r}, but saving the model writes {last!r}")):
             load_model(path)
         d["fit"]["deviance_trace"] = []
         with pytest.raises(ValueError, match="deviance_trace needs at least the starting deviance"):
@@ -446,7 +448,7 @@ class TestModelJson:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=re.escape(
-                f"model file {str(path)!r}: entry 'n_dummy' is not 216, the cell count of 'grid_resolution'")):
+                f"model file {str(path)!r}: entry 'n_dummy' is 5, but saving the model writes 216")):
             load_model(path)
 
     def test_levels_without_multitype_mode_rejected(self):
@@ -466,8 +468,11 @@ class TestModelJson:
                 f"model file {str(path)!r}: mark label '\\ud800' cannot be written to a CSV cell")):
             load_model(path)
 
-    @pytest.mark.parametrize("rename", [{"x": "t", "t": "x"}, {"1": "zzz"}])
-    def test_mislabelled_coefficients_rejected(self, tmp_path, rename):
+    @pytest.mark.parametrize("rename, message", [
+        ({"x": "t", "t": "x"}, "entry 'coefficients[1].name' is 't', but saving the model writes 'x'"),
+        ({"1": "zzz"}, "entry 'coefficients[0].name' is 'zzz', but saving the model writes '1'"),
+    ])
+    def test_mislabelled_coefficients_rejected(self, tmp_path, rename, message):
         spec = ModelSpec((Intercept(), CoordinateMonomial(1, 0, 0), CoordinateMonomial(0, 0, 1)))
         model = fit_stpp(random_pattern(60, seed=13), spec, GridResolution(6, 6, 6))
         save_model(model, tmp_path / "model.json")
@@ -477,7 +482,7 @@ class TestModelJson:
         for c in d["coefficients"]:
             c["name"] = rename.get(c["name"], c["name"])
         (tmp_path / "model.json").write_text(json.dumps(d))
-        with pytest.raises(ValueError, match=re.escape("columns ['1', 'x', 't']")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_model(tmp_path / "model.json")
 
     def test_interact_all_model_with_mark_ridge_rejected(self):
@@ -509,6 +514,48 @@ class TestModelFormatStability:
         save_model(model, tmp_path / name)
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
         assert model.fit.iterations == len(model.fit.deviance_trace) - 1
+
+
+def json_paths(value, path=()):
+    """``(path, is_object)`` for every object and every scalar in the JSON ``value``, a path being the keys
+    and list positions that lead to it."""
+    if isinstance(value, (dict, list)):
+        if isinstance(value, dict):
+            yield path, True
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from json_paths(item, path + (key,))
+    else:
+        yield path, False
+
+
+# the words a refusal may name an entry by: its path ("entry 'fit.aic'"), or any key of the format
+# written out, as in "unsupported model schema version" or "at most one intercept term is allowed"
+ENTRY_WORDS = re.compile(r"\b({})\b".format("|".join(
+    {"entry"} | {re.escape(word) for name in MODEL_FIXTURES for path, _ in json_paths(read_json(FIXTURES / name))
+                 for key in path if isinstance(key, str) for word in (key, key.replace("_", " "), key.rstrip("s"))})))
+JSON_LEAVES = st.one_of(st.floats(), st.integers(-10, 10**6), st.text(max_size=4), st.booleans(), st.none())
+
+
+class TestModelFileRule:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(MODEL_FIXTURES), data=st.data())
+    def test_an_altered_file_is_refused_or_is_what_saving_writes(self, tmp_path, name, data):
+        # alter one scalar to another JSON value, or add a key to one object
+        d = read_json(FIXTURES / name)
+        path, is_object = data.draw(st.sampled_from(list(json_paths(d))))
+        parent = d
+        for key in path[:-1] if not is_object else path:
+            parent = parent[key]
+        value = data.draw(JSON_LEAVES)
+        parent[path[-1] if not is_object else data.draw(st.text(min_size=1, max_size=4))] = value
+        (tmp_path / "model.json").write_text(json.dumps(d))
+        try:
+            model = load_model(tmp_path / "model.json")
+        except ValueError as exc:
+            message = str(exc).removeprefix(f"model file {str(tmp_path / 'model.json')!r}")
+            assert ENTRY_WORDS.search(message), message
+        else:
+            assert model_to_dict(model) == d
 
 
 class TestWindowDict:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -145,6 +146,14 @@ class TestFitStpp:
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError, match="no points"):
             fit_stpp(PointPattern(UNIT), ModelSpec((Intercept(),)), RES8)
+
+    @pytest.mark.parametrize("n_data", [0, -5, 150.7, 150.0, True, "150"])
+    def test_n_data_must_be_a_count_of_data_points(self, n_data):
+        model = fit_stpp(uniform_pattern(20, seed=3), ModelSpec((Intercept(),)), RES8)
+        assert model.n_data == 20
+        with pytest.raises(ValueError, match=re.escape(f"n_data must be an integer >= 1, the count of fitted data "
+                                                      f"points, got {n_data!r}")):
+            dataclasses.replace(model, n_data=n_data)
 
     def test_marked_pattern_directed_to_fit_multitype(self):
         with pytest.raises(ValueError, match="use fit_multitype"):
